@@ -1,8 +1,8 @@
 // Command routefront is the cluster front-door: it partitions the
 // external name space across N routed shards with rendezvous hashing,
-// proxies single-shard routes, scatter-gathers cross-shard ones, and
-// drives coordinated hot-swaps so every shard answers from the same
-// topology version.
+// proxies each route to the shard owning its source (one shard call
+// per route), and drives coordinated hot-swaps so every shard answers
+// from the same topology version.
 //
 //	routed -scheme fulltable -n 2000 -seed 7 -metric -addr :8347 &
 //	routed -scheme fulltable -n 2000 -seed 7 -metric -addr :8348 &
@@ -11,6 +11,13 @@
 // Every shard must be started from the same topology source and seed:
 // shards hold the full scheme (the partition is of query ownership),
 // and the coordinated cut-over assumes they build identical versions.
+// A route answered from any version but the one the front-door last
+// committed answers 409. Route repair is a shard option: start routed
+// with -bestofboth and -damp-penalty to walk both directions under the
+// fault overlay.
+//
+// Flags: -addr, -shards (required), -health-every, -drain,
+// -trace-sample, -trace-ring, -slowlog, -slow-threshold, -debug-addr.
 //
 // The surface mirrors a shard's /v1 API (see internal/cluster and
 // internal/server), so clients — including cmd/loadgen — point at a
@@ -26,7 +33,7 @@
 // front-door counters plus per-shard series labeled shard="<url>";
 // GET /v1/trace/{id} merges the front-door's stored trace with each
 // shard's view of the same request (the sampled trace ID rides the
-// X-Compactroute-Trace header on every forward leg); -slowlog and
+// X-Compactroute-Trace header on the shard call); -slowlog and
 // -debug-addr work as on routed.
 package main
 
@@ -52,7 +59,6 @@ func main() {
 	addr := flag.String("addr", ":8300", "listen address")
 	shards := flag.String("shards", "", "comma-separated routed base URLs, e.g. http://localhost:8347,http://localhost:8348 (required)")
 	healthEvery := flag.Duration("health-every", time.Second, "health-probe interval (ejected shards back off exponentially on top)")
-	bestOfBoth := flag.Bool("bestofboth", false, "add a reverse dst→src walk to every cross-shard scatter and serve the cheaper delivered direction")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
 	traceSample := flag.Int("trace-sample", 64, "trace 1 in this many requests (negative: off; propagated X-Compactroute-Trace IDs are always traced)")
 	traceRing := flag.Int("trace-ring", 1024, "stored-trace ring capacity")
@@ -87,7 +93,6 @@ func main() {
 	c, err := cluster.New(cluster.Options{
 		Shards:        urls,
 		HealthEvery:   *healthEvery,
-		BestOfBoth:    *bestOfBoth,
 		TraceSample:   *traceSample,
 		TraceRing:     *traceRing,
 		SlowLog:       slowW,

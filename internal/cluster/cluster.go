@@ -11,16 +11,15 @@
 // rendezvous (highest-random-weight) hashing: shard(name) is the
 // shard maximizing mix(name XOR shardSeed), which moves only 1/N of
 // the names when a shard joins or leaves and needs no coordination.
-// A route whose source and destination hash to the same shard is
-// proxied straight through. A cross-shard route scatter-gathers: the
-// source-owning shard walks the route (GET /v1/route), the
-// destination-owning shard confirms the destination and the stretch
-// denominator on ITS serving version (GET /v1/resolve, O(1) against
-// the metric), and the front-door merges the two — so the stretch
-// accounting in every answer is confirmed by both owners. If the two
-// legs answer from different topology versions, the merge is refused
-// with version skew (409) rather than composing numbers from two
-// different graphs.
+// Every route is one shard call, proxied to the owner of its source:
+// in the paper's scheme the source walks the whole route from its own
+// table and the destination's label, and the shard already answers
+// with the stretch denominator from its own metric, so no second shard
+// has anything to add. Source ownership keeps each pair cached on one
+// shard. The answer's topology version must be the one the front-door
+// last committed (before any cut-over, the first version it saw); any
+// other version is refused with version skew (409) rather than served
+// from a graph the rest of the tier does not hold.
 //
 // # Coordinated cut-over
 //
@@ -43,11 +42,12 @@
 // timeout) is NOT a shard fault: it ejects nothing, and the
 // log-changing fan-outs (Mutate, the Rebuild phases) run detached
 // from the caller's context so a disconnect can never strand them
-// half-applied across the shards. A
-// background health loop probes ejected shards with exponential
-// backoff and re-admits one only when its version ID and log length
-// match a currently-healthy reference shard — a shard that missed
-// mutations while it was out stays out.
+// half-applied across the shards. A background health loop probes
+// every shard, each probe under its own deadline of one interval:
+// healthy shards for liveness, ejected ones with exponential backoff
+// for re-admission, granted only when the shard's version ID and log
+// length match a currently-healthy reference shard — a shard that
+// missed mutations while it was out stays out.
 package cluster
 
 import (
@@ -70,12 +70,6 @@ import (
 // Retryable (503) — the health loop may re-admit shards.
 var ErrNoHealthyShard = errors.New("cluster: no healthy shard")
 
-// ErrDivergence reports two shards contradicting each other on the
-// same topology version — a data fault, not a transport fault.
-// Retrying the same pair cannot help, so the front-door surfaces it
-// (500) instead of failing over.
-var ErrDivergence = errors.New("cluster: shards diverged")
-
 // Internal deadlines for the detached coordination fan-outs (see
 // Mutate and Rebuild): log appends and version swaps are cheap, so a
 // shard that cannot finish one inside this window is treated as down.
@@ -91,21 +85,11 @@ type Options struct {
 	// HealthEvery is the health-probe interval (0: 1s). Ejected
 	// shards are probed with exponential backoff on top of this.
 	HealthEvery time.Duration
-	// BestOfBoth adds a reverse walk to every cross-shard scatter: the
-	// destination owner routes dst→src concurrently with the source
-	// owner's forward walk, and the cheaper delivered direction is
-	// served (edges are undirected, so either walk answers the pair).
-	// The reverse leg is advisory — it can rescue a query the forward
-	// overlay blocks, but never introduces a new failure mode: an
-	// errored, undelivered, or version-skewed reverse leg is simply
-	// discarded. Single-shard routes are untouched (the shard applies
-	// its own best-of-both if routed was started with it).
-	BestOfBoth bool
 	// TraceSample traces 1 in TraceSample front-door requests (0: 64;
 	// negative: sampling off — propagated trace IDs are still
 	// honored). A sampled request's ID rides the X-Compactroute-Trace
-	// header on its shard legs, so the per-shard views merge under one
-	// ID via GET /v1/trace/{id}.
+	// header on its shard call, so the shard's view merges under the
+	// same ID via GET /v1/trace/{id}.
 	TraceSample int
 	// TraceRing bounds the stored-trace ring (0: 1024).
 	TraceRing int
@@ -151,9 +135,14 @@ type Cluster struct {
 	done    chan struct{}
 	loop    chan struct{}
 
+	// version is 1 + the topology version ID every route must answer
+	// from (0: none seen yet). A commit stores it while holding the
+	// gate for write, so no route in flight compares against a version
+	// being replaced; before any cut-over the first answer adopts it.
+	version atomic.Uint64
+
 	// counters (see Stats)
-	routes, proxied, scattered    atomic.Uint64
-	reversed                      atomic.Uint64
+	routes, proxied               atomic.Uint64
 	failovers, ejections, readmit atomic.Uint64
 	skews, swaps                  atomic.Uint64
 	lastCutoverNs, maxCutoverNs   atomic.Int64
@@ -170,9 +159,8 @@ type Stats struct {
 	Shards        int    `json:"shards"`
 	Healthy       int    `json:"healthy"`
 	Routes        uint64 `json:"routes"`
-	Proxied       uint64 `json:"proxied"`   // single-shard routes
-	Scattered     uint64 `json:"scattered"` // cross-shard scatter-gathers
-	Reversed      uint64 `json:"reversed"`  // scatters served by the reverse walk (BestOfBoth)
+	Proxied       uint64 `json:"proxied"`   // routes answered by one shard call (every answered route)
+	Scattered     uint64 `json:"scattered"` // always 0: no route spans two shards
 	Failovers     uint64 `json:"failovers"`
 	Ejections     uint64 `json:"ejections"`
 	Readmissions  uint64 `json:"readmissions"`
@@ -314,23 +302,36 @@ func (c *Cluster) healthLoop() {
 	}
 }
 
-// probeAll runs one health pass over every shard.
+// probeAll runs one health pass over every shard: a liveness check
+// for each healthy shard, a re-admission check for each ejected one
+// whose backoff has run out.
 func (c *Cluster) probeAll() {
-	ctx, cancel := context.WithTimeout(context.Background(), c.healthEvery())
-	defer cancel()
 	for _, s := range c.shards {
-		if s.healthy.Load() {
-			// Only transport-level failures eject; an API error means
-			// the shard is up and talking.
-			if _, err := s.c.Healthz(ctx); isTransport(err) {
-				c.eject(s, err)
-			}
-			continue
+		switch {
+		case s.healthy.Load():
+			c.probeLive(s)
+		case time.Now().UnixNano() >= s.nextProbe.Load():
+			c.tryReadmit(s)
 		}
-		if time.Now().UnixNano() < s.nextProbe.Load() {
-			continue
-		}
-		c.tryReadmit(ctx, s)
+	}
+}
+
+// probeCtx bounds ONE health check by one interval: each shard's
+// probe gets its own deadline, so a slow shard cannot spend the next
+// shard's budget and have the healthy one ejected on an expired
+// context.
+func (c *Cluster) probeCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), c.healthEvery())
+}
+
+// probeLive ejects a healthy shard that fails its liveness probe.
+// Only transport-level failures eject; an API error means the shard
+// is up and talking.
+func (c *Cluster) probeLive(s *shard) {
+	ctx, cancel := c.probeCtx()
+	defer cancel()
+	if _, err := s.c.Healthz(ctx); isTransport(err) {
+		c.eject(s, err)
 	}
 }
 
@@ -338,10 +339,12 @@ func (c *Cluster) probeAll() {
 // topology lineage matches a healthy reference shard: same version
 // ID, same mutation-log length. The check runs under muteMu so no
 // mutate fan-out or rebuild is mid-flight while the two shards are
-// compared. A shard that missed log entries while it was out can
-// never pass — there is no re-sync path, so it stays ejected (by
-// design: admitting it would silently fork the cluster's topology).
-func (c *Cluster) tryReadmit(ctx context.Context, s *shard) {
+// compared; its deadline starts once the lock is held, so waiting out
+// a long staging build does not use it up. A shard that missed log
+// entries while it was out can never pass — there is no re-sync path,
+// so it stays ejected (by design: admitting it would silently fork
+// the cluster's topology).
+func (c *Cluster) tryReadmit(s *shard) {
 	backoff := func() {
 		n := s.fails.Add(1)
 		if n > 6 {
@@ -352,6 +355,8 @@ func (c *Cluster) tryReadmit(ctx context.Context, s *shard) {
 	}
 	c.muteMu.Lock()
 	defer c.muteMu.Unlock()
+	ctx, cancel := c.probeCtx()
+	defer cancel()
 	h, err := s.c.Healthz(ctx)
 	if err != nil {
 		backoff()
@@ -393,11 +398,12 @@ func (c *Cluster) healthyCount() int {
 	return n
 }
 
-// RouteByName answers one routing query: proxied when one shard owns
-// both names, scatter-gathered across the two owners otherwise. The
-// route gate is held for read, so answers never straddle a
-// coordinated cut-over. Transport failures eject the shard and the
-// query retries on the survivors.
+// RouteByName answers one routing query with one shard call, to the
+// healthy owner of src (see the package doc). The route gate is held
+// for read, so answers never straddle a coordinated cut-over, and an
+// answer from any version but the tier's is refused as version skew.
+// Transport failures eject the shard and the query fails over to the
+// next owner.
 //
 //crlint:hotpath
 func (c *Cluster) RouteByName(ctx context.Context, src, dst uint64) (client.Route, error) {
@@ -410,42 +416,52 @@ func (c *Cluster) RouteByName(ctx context.Context, src, dst uint64) (client.Rout
 			c.failovers.Add(1)
 			obs.Mark(ctx, "frontdoor", "failover", "")
 		}
-		si, di := c.Owner(src), c.Owner(dst)
-		if si < 0 || di < 0 {
+		i := c.Owner(src)
+		if i < 0 {
 			return client.Route{}, fmt.Errorf("%w (last transport error: %v)", ErrNoHealthyShard, lastErr)
 		}
-		if si == di {
-			res, err := c.shards[si].c.RouteByName(ctx, src, dst)
-			if err != nil {
-				if shardFault(ctx, err) {
-					c.eject(c.shards[si], err)
-					lastErr = err
-					continue
-				}
-				return client.Route{}, err
-			}
-			c.proxied.Add(1)
-			obs.Mark(ctx, "frontdoor", "proxy", c.shards[si].url)
-			return res, nil
-		}
-		res, err := c.scatter(ctx, c.shards[si], c.shards[di], src, dst)
+		s := c.shards[i]
+		t0 := time.Now()
+		res, err := s.c.RouteByName(ctx, src, dst)
+		obs.SpanSince(ctx, "frontdoor", "proxy", s.url, t0)
 		if err != nil {
-			// Version skew and data divergence are coordination faults,
-			// not shard faults: retrying against the same pair cannot
-			// help, and the caller needs the 409/500.
-			if errors.Is(err, compactroute.ErrVersionSkew) || errors.Is(err, ErrDivergence) {
-				return client.Route{}, err
-			}
 			if shardFault(ctx, err) {
+				c.eject(s, err)
 				lastErr = err
-				continue // scatter already ejected the failed leg
+				continue
 			}
 			return client.Route{}, err
 		}
-		c.scattered.Add(1)
+		// Skew is a coordination fault, not a shard fault: another owner
+		// would answer from its own version, and the caller needs the 409.
+		if res.Version != nil && !c.sameVersion(*res.Version) {
+			return client.Route{}, c.skewed(s, *res.Version)
+		}
+		c.proxied.Add(1)
 		return res, nil
 	}
 	return client.Route{}, fmt.Errorf("%w (all retries failed: %v)", ErrNoHealthyShard, lastErr)
+}
+
+// sameVersion reports whether an answer from version v is from the
+// tier's version, adopting v when the front-door has none yet.
+func (c *Cluster) sameVersion(v uint64) bool {
+	want := c.version.Load()
+	if want == 0 {
+		c.version.CompareAndSwap(0, v+1)
+		want = c.version.Load()
+	}
+	return want == v+1
+}
+
+// skewed counts a version skew and builds its refusal. Kept out of
+// RouteByName so the hot path's escape budget stays at zero.
+//
+//go:noinline
+func (c *Cluster) skewed(s *shard, v uint64) error {
+	c.skews.Add(1)
+	return fmt.Errorf("cluster: %s answered from version %d, the tier serves %d: %w",
+		s.url, v, c.version.Load()-1, compactroute.ErrVersionSkew)
 }
 
 // isTransport reports whether err is a transport-level failure (no
@@ -473,126 +489,6 @@ func shardFault(ctx context.Context, err error) bool {
 		return false
 	}
 	return true
-}
-
-// scatter runs the cross-shard form: the source owner walks the full
-// route while the destination owner confirms the destination name and
-// the stretch denominator, concurrently. The two legs must answer
-// from the same topology version — anything else is version skew.
-// Under Options.BestOfBoth a third leg walks dst→src on the
-// destination owner; the cheaper delivered direction is served (ties
-// and errors keep the forward walk — see Options).
-func (c *Cluster) scatter(ctx context.Context, srcShard, dstShard *shard, src, dst uint64) (client.Route, error) {
-	type routeLeg struct {
-		res client.Route
-		err error
-	}
-	type resolveLeg struct {
-		res client.Resolve
-		err error
-	}
-	rc := make(chan routeLeg, 1)
-	vc := make(chan resolveLeg, 1)
-	// Only the forward walk carries the trace to its shard: the
-	// resolve and reverse legs run under a trace-stripped context so
-	// their shard-side hops cannot interleave into the merged per-ID
-	// view. The front-door records a span per leg either way.
-	go func() {
-		t0 := time.Now()
-		res, err := srcShard.c.RouteByName(ctx, src, dst)
-		obs.SpanSince(ctx, "frontdoor", "scatter-walk", srcShard.url, t0)
-		rc <- routeLeg{res, err}
-	}()
-	go func() {
-		t0 := time.Now()
-		res, err := dstShard.c.Resolve(obs.WithTrace(ctx, nil), src, dst)
-		obs.SpanSince(ctx, "frontdoor", "scatter-resolve", dstShard.url, t0)
-		vc <- resolveLeg{res, err}
-	}()
-	var bc chan routeLeg
-	if c.opts.BestOfBoth {
-		bc = make(chan routeLeg, 1)
-		go func() {
-			t0 := time.Now()
-			res, err := dstShard.c.RouteByName(obs.WithTrace(ctx, nil), dst, src)
-			obs.SpanSince(ctx, "frontdoor", "scatter-reverse", dstShard.url, t0)
-			bc <- routeLeg{res, err}
-		}()
-	}
-	walk, confirm := <-rc, <-vc
-	if bc != nil {
-		// Fold the reverse walk in. It is strictly advisory: only a
-		// delivered reverse answer on a version agreeing with the
-		// forward walk can replace it, and only by being cheaper — or by
-		// succeeding where the forward direction failed as an API
-		// outcome (its fault overlay blocking the only path is exactly
-		// the case the reverse direction exists to dodge). Transport
-		// faults on the reverse leg are left for the resolve leg's
-		// handling below: both run on dstShard, so a dead shard fails
-		// the confirm leg and drives the normal eject-and-retry path.
-		back := <-bc
-		if back.err == nil && back.res.Delivered {
-			// An adopted reverse answer defers its stretch denominator
-			// to the confirm leg: its own ShortestCost was summed
-			// dst→src and can differ from the destination owner's
-			// src→dst sum in the last ulp — a float artifact, not the
-			// data fault the divergence check below exists to catch.
-			back.res.ShortestCost, back.res.Stretch = 0, 0
-			switch {
-			case walk.err != nil && !shardFault(ctx, walk.err):
-				c.reversed.Add(1)
-				obs.Mark(ctx, "frontdoor", "verdict", "reverse-won")
-				walk = routeLeg{res: back.res}
-			case walk.err == nil:
-				if walk.res.Version != nil && back.res.Version != nil && *walk.res.Version != *back.res.Version {
-					c.skews.Add(1) // advisory leg: discard, don't refuse
-					obs.Mark(ctx, "frontdoor", "verdict", "reverse-skewed")
-				} else if !walk.res.Delivered || back.res.Cost < walk.res.Cost {
-					c.reversed.Add(1)
-					obs.Mark(ctx, "frontdoor", "verdict", "reverse-won")
-					walk = back
-				}
-			}
-		}
-	}
-	if walk.err != nil {
-		if shardFault(ctx, walk.err) {
-			c.eject(srcShard, walk.err)
-		}
-		return client.Route{}, walk.err
-	}
-	if confirm.err != nil {
-		if shardFault(ctx, confirm.err) {
-			c.eject(dstShard, confirm.err)
-		}
-		return client.Route{}, confirm.err
-	}
-	res, rv := walk.res, confirm.res
-	if res.Version != nil && rv.Version != nil && *res.Version != *rv.Version {
-		c.skews.Add(1)
-		return client.Route{}, fmt.Errorf(
-			"cluster: route legs answered from versions %d (%s) and %d (%s): %w",
-			*res.Version, srcShard.url, *rv.Version, dstShard.url, compactroute.ErrVersionSkew)
-	}
-	// Destination-side completion: the walk carries the path, the
-	// destination owner supplies (or confirms) the stretch
-	// denominator from its own table.
-	if rv.MetricKnown && rv.SrcKnown && rv.DstKnown {
-		if res.ShortestCost != 0 && res.ShortestCost != rv.ShortestCost {
-			ver := "?"
-			if res.Version != nil {
-				ver = fmt.Sprintf("%d", *res.Version)
-			}
-			return client.Route{}, fmt.Errorf(
-				"%w on shortest %d→%d at version %s: %v (%s) vs %v (%s)",
-				ErrDivergence, src, dst, ver, res.ShortestCost, srcShard.url, rv.ShortestCost, dstShard.url)
-		}
-		res.ShortestCost = rv.ShortestCost
-		if res.ShortestCost > 0 {
-			res.Stretch = res.Cost / res.ShortestCost
-		}
-	}
-	return res, nil
 }
 
 // Resolve proxies a name-resolution query to the owner of src.
@@ -768,6 +664,9 @@ func (c *Cluster) Rebuild(ctx context.Context) (compactroute.VersionInfo, time.D
 		}
 		committed++
 	}
+	if committed > 0 {
+		c.version.Store(want.ID + 1) // every route from here on answers from want.ID
+	}
 	c.gate.Unlock()
 	pause := time.Since(t0)
 
@@ -801,8 +700,6 @@ func (c *Cluster) Stats() Stats {
 		Healthy:       c.healthyCount(),
 		Routes:        c.routes.Load(),
 		Proxied:       c.proxied.Load(),
-		Scattered:     c.scattered.Load(),
-		Reversed:      c.reversed.Load(),
 		Failovers:     c.failovers.Load(),
 		Ejections:     c.ejections.Load(),
 		Readmissions:  c.readmit.Load(),

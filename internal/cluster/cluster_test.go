@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,13 +29,21 @@ func shardConfig(n int) server.Config {
 
 // flaky wraps a shard handler with a kill switch: while down, every
 // connection is hijacked and closed mid-request, which the client
-// sees as a transport failure (not an API error).
+// sees as a transport failure (not an API error). It also counts the
+// route and resolve calls that reach the shard.
 type flaky struct {
-	h    http.Handler
-	down atomic.Bool
+	h                http.Handler
+	down             atomic.Bool
+	routes, resolves atomic.Uint64
 }
 
 func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/v1/route":
+		f.routes.Add(1)
+	case "/v1/resolve":
+		f.resolves.Add(1)
+	}
 	if f.down.Load() {
 		if hj, ok := w.(http.Hijacker); ok {
 			if conn, _, err := hj.Hijack(); err == nil {
@@ -52,11 +59,17 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // wrapper) and a front-door over them.
 func bootCluster(t *testing.T, nShards, n int, healthEvery time.Duration) (*Cluster, []*server.Server, []*flaky) {
 	t.Helper()
+	return bootClusterWith(t, shardConfig(n), nShards, healthEvery)
+}
+
+// bootClusterWith is bootCluster with every shard started from cfg.
+func bootClusterWith(t *testing.T, cfg server.Config, nShards int, healthEvery time.Duration) (*Cluster, []*server.Server, []*flaky) {
+	t.Helper()
 	urls := make([]string, nShards)
 	servers := make([]*server.Server, nShards)
 	wraps := make([]*flaky, nShards)
 	for i := range urls {
-		srv, err := server.New(shardConfig(n))
+		srv, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +139,10 @@ func TestOwnerRendezvousProperties(t *testing.T) {
 	}
 }
 
-// TestProxyAndScatterMatchSingleProcess: every front-door answer —
-// proxied or scatter-gathered — is byte-equal to the single-process
-// answer, stretch included.
-func TestProxyAndScatterMatchSingleProcess(t *testing.T) {
+// TestRoutesMatchSingleProcess: every front-door answer — same-owner
+// or cross-owner pair — is byte-equal to the single-process answer,
+// stretch included.
+func TestRoutesMatchSingleProcess(t *testing.T) {
 	c, servers, _ := bootCluster(t, 2, 90, time.Hour)
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
@@ -138,6 +151,7 @@ func TestProxyAndScatterMatchSingleProcess(t *testing.T) {
 	solo := servers[0] // shards are identical; shard 0 IS the single-process answer
 	g := solo.Scheme().Network().Graph()
 	ctx := context.Background()
+	crossOwner := 0
 	for u := 0; u < g.N(); u += 7 {
 		for v := 1; v < g.N(); v += 11 {
 			src, dst := g.Name(compactroute.NodeID(u)), g.Name(compactroute.NodeID(v))
@@ -159,13 +173,15 @@ func TestProxyAndScatterMatchSingleProcess(t *testing.T) {
 			if want.ShortestCost > 0 && got.Stretch != want.Stretch() {
 				t.Fatalf("route %d→%d stretch %v, solo %v", src, dst, got.Stretch, want.Stretch())
 			}
+			if c.Owner(src) != c.Owner(dst) {
+				crossOwner++
+			}
 		}
 	}
-	st := c.Stats()
-	if st.Proxied == 0 || st.Scattered == 0 {
-		t.Fatalf("expected both proxied and scattered routes, got %+v", st)
+	if crossOwner == 0 {
+		t.Fatal("sample holds no cross-owner pair")
 	}
-	if st.Routes != st.Proxied+st.Scattered {
+	if st := c.Stats(); st.Proxied != st.Routes || st.Scattered != 0 {
 		t.Fatalf("route accounting off: %+v", st)
 	}
 
@@ -175,9 +191,70 @@ func TestProxyAndScatterMatchSingleProcess(t *testing.T) {
 	}
 }
 
+// TestOneShardCallPerRoute: every front-door route is exactly one
+// /v1/route call, on the owner of its source, whether or not the
+// destination has the same owner — and no /v1/resolve call at all.
+func TestOneShardCallPerRoute(t *testing.T) {
+	c, servers, wraps := bootCluster(t, 3, 60, time.Hour)
+	g := servers[0].Scheme().Network().Graph()
+	ctx := context.Background()
+	calls := func() []uint64 {
+		out := make([]uint64, len(wraps))
+		for i, w := range wraps {
+			out[i] = w.routes.Load()
+		}
+		return out
+	}
+	var routes, sameOwner, crossOwner uint64
+	for u := 0; u < g.N(); u += 3 {
+		for v := 1; v < g.N(); v += 13 {
+			src, dst := g.Name(compactroute.NodeID(u)), g.Name(compactroute.NodeID(v))
+			owner := c.Owner(src)
+			if owner == c.Owner(dst) {
+				sameOwner++
+			} else {
+				crossOwner++
+			}
+			before := calls()
+			if _, err := c.RouteByName(ctx, src, dst); err != nil {
+				t.Fatalf("route %d→%d: %v", src, dst, err)
+			}
+			routes++
+			for i, n := range calls() {
+				want := before[i]
+				if i == owner {
+					want++
+				}
+				if n != want {
+					t.Fatalf("route %d→%d (src owner %d): shard %d took %d route calls, want %d",
+						src, dst, owner, i, n-before[i], want-before[i])
+				}
+			}
+		}
+	}
+	if sameOwner == 0 || crossOwner == 0 {
+		t.Fatalf("sample too thin: %d same-owner, %d cross-owner pairs", sameOwner, crossOwner)
+	}
+	var total uint64
+	for i, w := range wraps {
+		total += w.routes.Load()
+		if r := w.resolves.Load(); r != 0 {
+			t.Fatalf("shard %d took %d resolve calls, want 0", i, r)
+		}
+	}
+	if total != routes {
+		t.Fatalf("%d routes made %d shard route calls", routes, total)
+	}
+	if st := c.Stats(); st.Routes != routes || st.Proxied != routes || st.Scattered != 0 {
+		t.Fatalf("after %d routes: %+v", routes, st)
+	}
+}
+
 // TestClusterSkewDetectionAndConvergence: a shard rebuilt out-of-band
-// (behind the front-door's back) makes cross-shard merges refuse with
-// 409 — and one coordinated rebuild converges the cluster again.
+// (behind the front-door's back) answers from a version the tier does
+// not serve, so every route it owns — same-owner or cross-owner —
+// refuses with 409 while its peer keeps serving; one coordinated
+// rebuild converges the cluster again.
 func TestClusterSkewDetectionAndConvergence(t *testing.T) {
 	c, servers, _ := bootCluster(t, 2, 60, time.Hour)
 	front := httptest.NewServer(c.Handler())
@@ -186,6 +263,10 @@ func TestClusterSkewDetectionAndConvergence(t *testing.T) {
 	ctx := context.Background()
 	g := servers[0].Scheme().Network().Graph()
 
+	// The first answer fixes the tier's version (no cut-over has run).
+	if res, err := fc.RouteByName(ctx, g.Name(0), g.Name(1)); err != nil || res.Version == nil || *res.Version != 0 {
+		t.Fatalf("first route: %+v, %v (want version 0)", res, err)
+	}
 	// One mutation through the front-door: both logs get it.
 	mut := compactroute.MutSetWeight(g.Name(0), firstNeighborName(servers[0]), 2)
 	if _, err := fc.Mutate(ctx, mut); err != nil {
@@ -197,27 +278,35 @@ func TestClusterSkewDetectionAndConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Find a cross-shard pair and route it: version skew, 409.
-	var sawSkew bool
-	for u := 0; u < g.N() && !sawSkew; u++ {
-		for v := 0; v < g.N(); v++ {
+	// Routes owned by shard 0 answer from version 1: skew, 409, on
+	// same-owner and cross-owner pairs alike. Shard 1's still serve.
+	var skewed, served [2]int // by same-owner (0) / cross-owner (1)
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v += 5 {
 			src, dst := g.Name(compactroute.NodeID(u)), g.Name(compactroute.NodeID(v))
-			if c.Owner(src) == c.Owner(dst) {
+			cross := 0
+			if c.Owner(src) != c.Owner(dst) {
+				cross = 1
+			}
+			res, err := fc.RouteByName(ctx, src, dst)
+			if c.Owner(src) == 0 {
+				if !client.IsStatus(err, http.StatusConflict) {
+					t.Fatalf("route %d→%d owned by the rebuilt shard: %v, want 409", src, dst, err)
+				}
+				skewed[cross]++
 				continue
 			}
-			_, err := fc.RouteByName(ctx, src, dst)
-			if !client.IsStatus(err, http.StatusConflict) {
-				t.Fatalf("cross-shard route across skewed versions: %v, want 409", err)
+			if err != nil || res.Version == nil || *res.Version != 0 {
+				t.Fatalf("route %d→%d owned by the in-step shard: %+v, %v", src, dst, res, err)
 			}
-			sawSkew = true
-			break
+			served[cross]++
 		}
 	}
-	if !sawSkew {
-		t.Fatal("no cross-shard pair found")
+	if skewed[0] == 0 || skewed[1] == 0 || served[0] == 0 || served[1] == 0 {
+		t.Fatalf("sample too thin: skewed %v served %v (same-owner, cross-owner)", skewed, served)
 	}
-	if c.Stats().SkewObserved == 0 {
-		t.Fatal("skew not counted")
+	if got, want := c.Stats().SkewObserved, uint64(skewed[0]+skewed[1]); got != want {
+		t.Fatalf("skews counted %d, want %d", got, want)
 	}
 
 	// One coordinated rebuild converges: shard 0 stages its serving
@@ -235,9 +324,12 @@ func TestClusterSkewDetectionAndConvergence(t *testing.T) {
 			t.Fatalf("shard %d at version %d after convergence", i, sv.ID)
 		}
 	}
-	// Cross-shard routes flow again.
-	if _, err := fc.RouteByName(ctx, g.Name(0), g.Name(1)); err != nil {
-		t.Fatalf("route after convergence: %v", err)
+	// Every route flows again, from the committed version.
+	for u := 0; u < g.N(); u += 4 {
+		res, err := fc.RouteByName(ctx, g.Name(compactroute.NodeID(u)), g.Name(1))
+		if err != nil || res.Version == nil || *res.Version != 1 {
+			t.Fatalf("route after convergence: %+v, %v", res, err)
+		}
 	}
 }
 
@@ -420,59 +512,36 @@ func (k *swapKiller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	k.h.ServeHTTP(w, r)
 }
 
-// TestScatterDivergenceSurfacesAs500: two shards contradicting each
-// other on the shortest cost at the SAME version is a data fault —
-// surfaced immediately as ErrDivergence (500 on the wire), with no
-// failover retries against the same pair and nothing ejected.
-func TestScatterDivergenceSurfacesAs500(t *testing.T) {
-	// Two fake shards that agree on the version but not the metric.
-	fake := func(shortest float64) http.Handler {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /v1/route", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintf(w, `{"delivered":true,"cost":10,"hops":3,"shortestCost":5,"version":1}`)
-		})
-		mux.HandleFunc("GET /v1/resolve", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintf(w, `{"srcKnown":true,"dstKnown":true,"metricKnown":true,"shortestCost":%v,"version":1}`, shortest)
-		})
-		return mux
-	}
-	a := httptest.NewServer(fake(5)) // agrees with the walk
+// TestProbeDeadlinePerShard: one health pass gives every shard's
+// probe its own deadline. A shard whose healthz hangs is ejected, and
+// the healthy shard probed after it stays in — it does not inherit an
+// expired context from the slow one.
+func TestProbeDeadlinePerShard(t *testing.T) {
+	hang := http.NewServeMux()
+	hang.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // until the prober gives up
+	})
+	a := httptest.NewServer(hang)
 	defer a.Close()
-	b := httptest.NewServer(fake(7)) // contradicts it
+	srv, err := server.New(shardConfig(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	b := httptest.NewServer(srv.Handler())
 	defer b.Close()
-	c, err := New(Options{Shards: []string{a.URL, b.URL}, HealthEvery: time.Hour, Logf: discardLogf})
+
+	c, err := New(Options{Shards: []string{a.URL, b.URL}, HealthEvery: 100 * time.Millisecond, Logf: discardLogf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	front := httptest.NewServer(c.Handler())
-	defer front.Close()
-	fc := client.New(front.URL)
-
-	// Find a pair owned src→a, dst→b: the walk (from a) reports
-	// shortest 5, the confirm (from b) reports 7.
-	ctx := context.Background()
-	var src, dst uint64
-	found := false
-	for s := uint64(0); s < 64 && !found; s++ {
-		for d := uint64(0); d < 64; d++ {
-			if c.Owner(s) == 0 && c.Owner(d) == 1 {
-				src, dst, found = s, d, true
-				break
-			}
-		}
+	c.probeAll() // shards are probed in order: a hangs first, then b
+	if c.shards[0].healthy.Load() {
+		t.Fatal("hung shard survived its probe")
 	}
-	if !found {
-		t.Fatal("no src→a dst→b pair in 64×64 names")
-	}
-	if _, err := c.RouteByName(ctx, src, dst); !errors.Is(err, ErrDivergence) {
-		t.Fatalf("diverged scatter: %v, want ErrDivergence", err)
-	}
-	if _, err := fc.RouteByName(ctx, src, dst); !client.IsStatus(err, http.StatusInternalServerError) {
-		t.Fatalf("diverged scatter on the wire: %v, want 500", err)
-	}
-	if st := c.Stats(); st.Healthy != 2 || st.Failovers != 0 || st.Ejections != 0 {
-		t.Fatalf("divergence triggered failover/ejection: %+v", st)
+	if !c.shards[1].healthy.Load() {
+		t.Fatalf("healthy shard ejected after a slow peer's probe: %+v", c.Stats())
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"compactroute"
 	"compactroute/client"
-	"compactroute/internal/server"
 )
 
 // TestEndToEndClusterChurn is the acceptance run for the serving
@@ -133,7 +132,7 @@ func TestEndToEndClusterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	fg := finalNet.Graph()
-	checked, scattered := 0, 0
+	checked, crossOwner := 0, 0
 	for s := 0; s < fg.N(); s += 5 {
 		for d := 1; d < fg.N(); d += 7 {
 			src, dst := fg.Name(compactroute.NodeID(s)), fg.Name(compactroute.NodeID(d))
@@ -158,58 +157,36 @@ func TestEndToEndClusterChurn(t *testing.T) {
 				t.Fatalf("route %d→%d version %v, want 4", src, dst, got.Version)
 			}
 			if c.Owner(src) != c.Owner(dst) {
-				scattered++
+				crossOwner++
 			}
 			checked++
 		}
 	}
-	if checked == 0 || scattered == 0 {
-		t.Fatalf("cold-build sample too thin: %d checked, %d cross-shard", checked, scattered)
+	if checked == 0 || crossOwner == 0 {
+		t.Fatalf("cold-build sample too thin: %d checked, %d cross-owner", checked, crossOwner)
 	}
 }
 
 // TestShardKillDuringFaultChurn is the resilience acceptance run: a
-// three-shard cluster (front-door with the best-of-both reverse leg
-// on) replays queries while a failure trace churns through the mutate
-// fan-out, and one shard is killed mid-churn. Survivors must keep
-// serving every query — delivered, or refused with the fault
-// overlay's pinned 502, never anything else. The dead shard, revived
-// with a short log, must stay ejected until it matches a healthy
-// peer's version AND log position; caught up out-of-band, it must
-// come back.
+// three-shard cluster (every shard serving with best-of-both on, so
+// the reverse walk runs under the live fault overlay) replays queries
+// while a failure trace churns through the mutate fan-out, and one
+// shard is killed mid-churn. Survivors must keep serving every query
+// — delivered, or refused with the fault overlay's pinned 502, never
+// anything else. The dead shard, revived with a short log, must stay
+// ejected until it matches a healthy peer's version AND log position;
+// caught up out-of-band, it must come back.
 func TestShardKillDuringFaultChurn(t *testing.T) {
 	const nodes = 90
-	// Roomy interval: probeAll budgets ONE interval of context across
-	// every shard's health check, and a tight budget under -race load
-	// ejects healthy-but-slow shards. Ejection in this test rides the
-	// mutate fan-out (immediate), not the probe, so the interval only
-	// paces re-admission — and the white-box probe nudges below keep
-	// that prompt.
+	// Each probe's deadline is one interval: 200ms leaves a healthy
+	// shard slowed by -race room to answer. Ejection in this test rides
+	// the mutate fan-out (immediate), not the probe, so the interval
+	// only paces re-admission — and the white-box probe nudges below
+	// keep that prompt.
 	const healthEvery = 200 * time.Millisecond
-	// Manual boot (not bootCluster): this front-door runs BestOfBoth,
-	// so the advisory reverse leg is exercised under a live fault
-	// overlay too.
-	urls := make([]string, 3)
-	servers := make([]*server.Server, 3)
-	wraps := make([]*flaky, 3)
-	for i := range urls {
-		srv, err := server.New(shardConfig(nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start(t.Context())
-		t.Cleanup(srv.Close)
-		wraps[i] = &flaky{h: srv.Handler()}
-		ts := httptest.NewServer(wraps[i])
-		t.Cleanup(ts.Close)
-		urls[i], servers[i] = ts.URL, srv
-	}
-	c, err := New(Options{Shards: urls, HealthEvery: healthEvery, BestOfBoth: true, Logf: discardLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	t.Cleanup(c.Close)
+	cfg := shardConfig(nodes)
+	cfg.BestOfBoth = true
+	c, servers, wraps := bootClusterWith(t, cfg, 3, healthEvery)
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 	fc := client.New(front.URL)
@@ -380,7 +357,7 @@ func TestShardKillDuringFaultChurn(t *testing.T) {
 	}
 
 	// Full strength again: every shard fault-free at the same version,
-	// and a cross-shard route flows through the re-admitted world.
+	// and a route flows through the re-admitted world.
 	for i, s := range servers {
 		v, _ := s.Version()
 		if v.ID != 2 || v.MutTo != uint64(len(trace)+len(recovery)) {

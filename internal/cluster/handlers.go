@@ -18,7 +18,7 @@ import (
 // Handler returns the front-door HTTP surface. It mirrors a shard's
 // /v1 routes, so the same client speaks to either tier:
 //
-//	GET  /v1/route          proxy or scatter-gather across the owners
+//	GET  /v1/route          proxy to the source owner (one shard call)
 //	GET  /v1/resolve        proxy to the source owner
 //	GET  /v1/healthz        cluster status + per-shard health rows
 //	GET  /v1/stats          front-door counters + per-shard stats
@@ -57,9 +57,8 @@ func (c *Cluster) Handler() http.Handler {
 // writeClusterError maps a cluster-path error onto HTTP: an API
 // *Error from a shard passes through verbatim (a 422 at the shard is
 // a 422 at the front-door), coordination failures are conflicts
-// (409), shard data divergence is an internal error (500), a cluster
-// with no healthy shard is retryable (503), and a transport failure
-// the retries could not absorb is a bad gateway.
+// (409), a cluster with no healthy shard is retryable (503), and a
+// transport failure the retries could not absorb is a bad gateway.
 func writeClusterError(w http.ResponseWriter, err error) {
 	var apiErr *client.Error
 	switch {
@@ -70,10 +69,6 @@ func writeClusterError(w http.ResponseWriter, err error) {
 		server.HTTPError(w, apiErr.Status, "%s", apiErr.Message)
 	case errors.Is(err, compactroute.ErrVersionSkew):
 		server.HTTPError(w, http.StatusConflict, "%v", err)
-	case errors.Is(err, ErrDivergence):
-		// Shards contradicting each other on one version is a data
-		// fault in the cluster, not a bad gateway or caller mistake.
-		server.HTTPError(w, http.StatusInternalServerError, "%v", err)
 	case errors.Is(err, ErrNoHealthyShard):
 		w.Header().Set("Retry-After", "1")
 		server.HTTPError(w, http.StatusServiceUnavailable, "%v", err)

@@ -44,13 +44,11 @@ func (c *Cluster) metricFamilies(ctx context.Context) []obs.Family {
 	fams := c.metrics.Families()
 	fams = append(fams,
 		obs.Counter(obs.MetricClusterRoutesTotal, "routing queries admitted by the front-door", float64(st.Routes)),
-		obs.Counter(obs.MetricClusterProxiedTotal, "single-shard routes proxied straight through", float64(st.Proxied)),
-		obs.Counter(obs.MetricClusterScatteredTotal, "cross-shard scatter-gathers merged", float64(st.Scattered)),
-		obs.Counter(obs.MetricClusterReversedTotal, "scatters served by the advisory reverse walk", float64(st.Reversed)),
+		obs.Counter(obs.MetricClusterProxiedTotal, "routes answered by one call to the source's owner", float64(st.Proxied)),
 		obs.Counter(obs.MetricClusterFailoversTotal, "route retries after a shard ejection", float64(st.Failovers)),
 		obs.Counter(obs.MetricClusterEjectionsTotal, "shards ejected for transport failures", float64(st.Ejections)),
 		obs.Counter(obs.MetricClusterReadmissionsTotal, "ejected shards re-admitted by the health loop", float64(st.Readmissions)),
-		obs.Counter(obs.MetricClusterSkewsTotal, "version skews observed across legs or stages", float64(st.SkewObserved)),
+		obs.Counter(obs.MetricClusterSkewsTotal, "answers or staged versions refused for version skew", float64(st.SkewObserved)),
 		obs.Counter(obs.MetricClusterSwapsTotal, "coordinated cut-overs completed", float64(st.Swaps)),
 		obs.Family{Name: obs.MetricClusterCutoverSeconds, Type: "gauge",
 			Help: "coordinated cut-over pause, last and lifetime max",

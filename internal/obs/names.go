@@ -40,8 +40,6 @@ const (
 	// Front-door (routefront) cluster families.
 	MetricClusterRoutesTotal       = "compactroute_cluster_routes_total"
 	MetricClusterProxiedTotal      = "compactroute_cluster_proxied_total"
-	MetricClusterScatteredTotal    = "compactroute_cluster_scattered_total"
-	MetricClusterReversedTotal     = "compactroute_cluster_reversed_total"
 	MetricClusterFailoversTotal    = "compactroute_cluster_failovers_total"
 	MetricClusterEjectionsTotal    = "compactroute_cluster_ejections_total"
 	MetricClusterReadmissionsTotal = "compactroute_cluster_readmissions_total"

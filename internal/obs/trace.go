@@ -48,9 +48,9 @@ type TraceView struct {
 }
 
 // Trace accumulates the spans and hop path of one sampled request.
-// It is safe for concurrent use: the best-of-both reverse leg and
-// scatter goroutines may record while the forward walk does. All
-// recording methods are nil-safe so call sites never branch.
+// It is safe for concurrent use, so a layer that fans a request out
+// to goroutines may record from any of them. All recording methods
+// are nil-safe so call sites never branch.
 type Trace struct {
 	id    string
 	start time.Time
@@ -183,9 +183,9 @@ func (t *Trace) View() TraceView {
 type traceKey struct{}
 
 // WithTrace returns a context carrying tr. Passing a nil tr
-// deliberately shadows any outer trace — used to keep advisory legs
-// (reverse walks, resolve fan-outs) from interleaving hops into the
-// primary walk's path.
+// deliberately shadows any outer trace — used to keep an advisory
+// walk (the best-of-both reverse direction) from interleaving hops
+// into the primary walk's path.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, tr)
 }

@@ -91,10 +91,9 @@ type RouteResponse struct {
 }
 
 // ResolveResponse is the JSON shape of GET /v1/resolve: name existence
-// plus the shortest-path distance between two names — the cheap
-// destination-side half of a cluster scatter-gather (the source shard
-// walks the route; the destination shard confirms the names and the
-// stretch denominator on ITS serving version).
+// plus the shortest-path distance between two names on the serving
+// version — the cheap check a caller runs before (or instead of)
+// walking a route.
 type ResolveResponse struct {
 	SrcKnown     bool    `json:"srcKnown"`
 	DstKnown     bool    `json:"dstKnown"`
@@ -234,9 +233,9 @@ func (s *Server) servedKind() string {
 
 // handleResolve answers name existence and the shortest-path distance
 // between two names, without walking a route — O(1) against the
-// version's metric. Unknown names are data here, not errors: the
-// scatter-gather caller needs to distinguish "my half doesn't know
-// this name" from a failed request.
+// version's metric. Unknown names are data here, not errors: a caller
+// asking "does this name exist?" must be able to tell "no" from a
+// failed request.
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	src, err := ParseName(r.URL.Query().Get("src"))
 	if err != nil {

@@ -12,8 +12,8 @@
 // deprecated aliases:
 //
 //	GET  /v1/route    route between external names (+ live version)
-//	GET  /v1/resolve  name resolution + shortest-path distance — the
-//	                  destination-side half of a cluster scatter-gather
+//	GET  /v1/resolve  name resolution + shortest-path distance, without
+//	                  walking a route
 //	GET  /v1/healthz  liveness + scheme identity + live version
 //	GET  /v1/stats    worker pool, cache, and swap counters
 //	POST /v1/mutate   append topology mutations (dynamic mode)
