@@ -1,10 +1,11 @@
 package compactroute
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"compactroute/internal/sim"
 )
 
 // Pair is one batched query between internal node ids.
@@ -72,120 +73,14 @@ func (s *Scheme) RouteBatch(pairs []Pair, workers int) ([]Result, error) {
 	return results, nil
 }
 
-// serialRowThreshold is the source-row count below which MeasureStretch
-// runs the sweep serially: goroutine startup, work-stealing atomics, and
-// the per-row merge outweigh the fan-out on small sweeps (the P1
-// experiment measures 0.88× "speedup" at 128 rows on a single-core
-// runner), and the serial sweep produces the identical distribution.
-const serialRowThreshold = 256
-
 // MeasureStretch routes every ordered pair (or a strided sample when
-// sampleStride > 1) and returns the stretch distribution. It errors on
-// the first non-delivered pair. Rows are fanned across GOMAXPROCS
-// workers; each row accumulates into its own Stretch and the rows are
-// merged in order, so the distribution is identical — sample order
-// included — to a serial sweep. Sweeps shorter than serialRowThreshold
-// rows run serially: at that size the fan-out costs more than it saves.
+// sampleStride > 1) and returns the stretch distribution, computing
+// the network's metric first when it is absent. The first pair that
+// is not delivered fails the sweep with a wrapped ErrNotDelivered.
+// Rows fan across GOMAXPROCS workers (small sweeps run serially) and
+// merge in row order, so the distribution is identical — sample order
+// included — to a serial sweep (sim.Measure).
 func (s *Scheme) MeasureStretch(sampleStride int) (*Stretch, error) {
-	workers := runtime.GOMAXPROCS(0)
-	if sampleStride < 1 {
-		sampleStride = 1
-	}
-	if rows := (s.net.N() + sampleStride - 1) / sampleStride; rows < serialRowThreshold {
-		workers = 1
-	}
-	return s.measureStretch(sampleStride, workers)
-}
-
-func (s *Scheme) measureStretch(sampleStride, workers int) (*Stretch, error) {
-	if sampleStride < 1 {
-		sampleStride = 1
-	}
 	s.net.EnsureMetric() // stretch is meaningless without d(u,v)
-	n := s.net.N()
-	rows := make([]int, 0, (n+sampleStride-1)/sampleStride)
-	for u := 0; u < n; u += sampleStride {
-		rows = append(rows, u)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers == 1 {
-		// One worker means no interleaving to coordinate: skip the
-		// goroutine machinery entirely and merge rows as they finish.
-		var st Stretch
-		for _, u := range rows {
-			row, err := s.measureRow(u)
-			if err != nil {
-				return nil, err
-			}
-			st.Merge(row)
-		}
-		return &st, nil
-	}
-	perRow := make([]*Stretch, len(rows))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail error
-	)
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return fail != nil
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(rows) || failed() {
-					return
-				}
-				st, err := s.measureRow(rows[i])
-				if err != nil {
-					mu.Lock()
-					if fail == nil {
-						fail = err
-					}
-					mu.Unlock()
-					return
-				}
-				perRow[i] = st
-			}
-		}()
-	}
-	wg.Wait()
-	if fail != nil {
-		return nil, fail
-	}
-	var st Stretch
-	for _, row := range perRow {
-		st.Merge(row)
-	}
-	return &st, nil
-}
-
-// measureRow routes u against every other node.
-func (s *Scheme) measureRow(u int) (*Stretch, error) {
-	var st Stretch
-	for v := 0; v < s.net.N(); v++ {
-		if u == v {
-			continue
-		}
-		res, err := s.Route(NodeID(u), NodeID(v))
-		if err != nil {
-			return nil, err
-		}
-		if !res.Delivered {
-			return nil, fmt.Errorf("compactroute: %s %d→%d: %w", s.Name(), u, v, ErrNotDelivered)
-		}
-		st.Add(res.Cost, res.ShortestCost)
-	}
-	return &st, nil
+	return sim.Measure(s.net.g, s.net.metric(), s.router, sampleStride, 0, true)
 }

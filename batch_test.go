@@ -3,20 +3,23 @@ package compactroute
 import (
 	"strings"
 	"testing"
+
+	"compactroute/internal/sim"
 )
 
 func buildBatchScheme(t *testing.T, seed uint64, n int) *Scheme {
 	t.Helper()
 	net := RandomNetwork(seed, n, 0.07, UniformWeights(1, 6))
-	s, err := NewScheme(net, Options{K: 2, Seed: seed + 1, SFactor: 0.5})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: seed + 1, SFactor: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// serialStretch is the reference implementation the parallel
-// MeasureStretch must match: the plain row-major double loop.
+// serialStretch is the reference implementation the shared stretch
+// sweep (sim.Measure, behind MeasureStretch) must match: the plain
+// row-major double loop.
 func serialStretch(t *testing.T, s *Scheme, stride int) *Stretch {
 	t.Helper()
 	s.Network().EnsureMetric()
@@ -49,7 +52,7 @@ func TestMeasureStretchParallelMatchesSerial(t *testing.T) {
 		for _, stride := range []int{1, 3} {
 			want := serialStretch(t, s, stride)
 			for _, workers := range []int{1, 2, 7, 64} {
-				got, err := s.measureStretch(stride, workers)
+				got, err := sim.Measure(s.net.g, s.net.metric(), s.router, stride, workers, true)
 				if err != nil {
 					t.Fatal(err)
 				}

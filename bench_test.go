@@ -65,7 +65,7 @@ func BenchmarkSchemeBuildK3N256(b *testing.B) {
 	net := compactroute.RandomNetwork(3, 256, 8.0/256, compactroute.UniformWeights(1, 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := compactroute.NewScheme(net, compactroute.Options{K: 3, Seed: uint64(i), SFactor: 1}); err != nil {
+		if _, err := compactroute.Build(net, compactroute.Config{Kind: compactroute.KindPaper, K: 3, Seed: uint64(i), SFactor: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,13 +86,13 @@ func routeSetup(b *testing.B) {
 	routeBench.once.Do(func() {
 		routeBench.net = compactroute.RandomNetwork(4, 256, 8.0/256, compactroute.UniformWeights(1, 8))
 		var err error
-		if routeBench.agm, err = compactroute.NewScheme(routeBench.net, compactroute.Options{K: 3, Seed: 7, SFactor: 1}); err != nil {
+		if routeBench.agm, err = compactroute.Build(routeBench.net, compactroute.Config{Kind: compactroute.KindPaper, K: 3, Seed: 7, SFactor: 1}); err != nil {
 			panic(err)
 		}
-		if routeBench.full, err = compactroute.NewFullTable(routeBench.net); err != nil {
+		if routeBench.full, err = compactroute.Build(routeBench.net, compactroute.Config{Kind: compactroute.KindFullTable}); err != nil {
 			panic(err)
 		}
-		if routeBench.tz, err = compactroute.NewTZ(routeBench.net, 3, 7); err != nil {
+		if routeBench.tz, err = compactroute.Build(routeBench.net, compactroute.Config{Kind: compactroute.KindTZ, K: 3, Seed: 7}); err != nil {
 			panic(err)
 		}
 	})

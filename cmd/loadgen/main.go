@@ -71,8 +71,7 @@ func main() {
 	mutationsFile := flag.String("mutations", "", "mutation trace file (cmd/graphgen -mutations): interleave topology churn with the replay (single target only)")
 	mutateEvery := flag.Int("mutate-every", 50, "completed queries between mutation POSTs (churn mode)")
 	rebuildEvery := flag.Int("rebuild-every", 25, "mutations between rebuild triggers (churn mode; 0: final rebuild only)")
-	targets := flag.String("targets", "", "comma-separated base URLs: routed daemons or one routefront front-door (overrides -url)")
-	baseURL := flag.String("url", "http://localhost:8347", "base URL of the routed daemon (deprecated: use -targets)")
+	targets := flag.String("targets", "http://localhost:8347", "comma-separated base URLs: routed daemons or one routefront front-door")
 	patternList := flag.String("pattern", "uniform,zipf,gravity,local", "comma-separated workload patterns (add adversarial to hammer worst-stretch pairs; costs one local APSP)")
 	queries := flag.Int("queries", 10000, "requests per pattern")
 	concurrency := flag.Int("concurrency", 16, "concurrent client connections")
@@ -100,7 +99,7 @@ func main() {
 	}
 	urls := splitTargets(*targets)
 	if len(urls) == 0 {
-		urls = []string{*baseURL}
+		fail(fmt.Errorf("-targets names no base URL"))
 	}
 	var (
 		scheme *compactroute.Scheme // nil with -graph

@@ -24,7 +24,7 @@ import (
 func testDaemon(t *testing.T) (*compactroute.Scheme, *httptest.Server) {
 	t.Helper()
 	net := compactroute.RandomNetwork(5, 80, 0.08, compactroute.UniformWeights(1, 5))
-	built, err := compactroute.NewScheme(net, compactroute.Options{K: 2, Seed: 3, SFactor: 0.5})
+	built, err := compactroute.Build(net, compactroute.Config{Kind: compactroute.KindPaper, K: 2, Seed: 3, SFactor: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

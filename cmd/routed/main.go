@@ -16,8 +16,7 @@
 // paper, fulltable, apcover, landmark, tz) or a scheme file; kinds
 // win, so a file named like a kind needs a path separator ("./tz").
 //
-// The HTTP surface is versioned under /v1 (the unversioned paths
-// remain as deprecated aliases):
+// The HTTP surface is versioned under /v1; nothing else is served:
 //
 //	GET  /v1/route?src=<name>&dst=<name>  route between external names
 //	GET  /v1/resolve?src=&dst=            names + shortest distance

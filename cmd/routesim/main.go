@@ -14,12 +14,12 @@ import (
 	"os"
 	"time"
 
-	"compactroute/internal/bench"
 	"compactroute/internal/codec"
 	"compactroute/internal/core"
 	"compactroute/internal/gen"
 	"compactroute/internal/gio"
 	"compactroute/internal/graph"
+	"compactroute/internal/sim"
 	"compactroute/internal/sssp"
 	"compactroute/internal/viz"
 	"compactroute/internal/xrand"
@@ -112,7 +112,7 @@ func main() {
 			all = sssp.AllPairsParallel(g, 0) // loaded scheme: metric absent
 		}
 		t0 := time.Now()
-		st, err := bench.Measure(g, all, s, *measure, 0, true)
+		st, err := sim.Measure(g, all, s, *measure, 0, true)
 		if err != nil {
 			fail(err)
 		}

@@ -214,20 +214,6 @@ func (n *Network) buildMetric() []*sssp.Result {
 	return n.metric()
 }
 
-// Options configures the paper's scheme for NewScheme (see core.Params
-// for the experiment-only knobs). New code should prefer
-// Build(net, Config{Kind: "paper", ...}).
-type Options struct {
-	// K is the space-stretch trade-off parameter: stretch O(k),
-	// tables Õ(n^{1/k}).
-	K int
-	// Seed makes the build reproducible. Zero is a valid seed.
-	Seed uint64
-	// SFactor optionally scales the landmark set constants; 0 means
-	// the paper's 16 (see DESIGN.md #5).
-	SFactor float64
-}
-
 // Result describes one routed message.
 type Result struct {
 	Delivered bool
@@ -262,26 +248,10 @@ func (r Result) Stretch() float64 {
 // Scheme is a built routing scheme bound to its network.
 type Scheme struct {
 	net    *Network
-	kind   string // registry kind; "" for pre-registry constructions
+	kind   string // registry kind it was built or loaded as
 	router sim.Router
 	engine *sim.Engine
 	table  tableSizer
-}
-
-// NewScheme builds the paper's scheme (Theorem 1) over the network.
-// Equivalent to Build with Config{Kind: "paper"}.
-func NewScheme(net *Network, o Options) (*Scheme, error) {
-	return Build(net, Config{Kind: KindPaper, K: o.K, Seed: o.Seed, SFactor: o.SFactor})
-}
-
-// NewSchemeFromParams exposes every experiment knob (ablation modes,
-// load factors); see core.Params.
-func NewSchemeFromParams(net *Network, p core.Params) (*Scheme, error) {
-	s, err := core.BuildWithAPSP(net.g, net.buildMetric(), p)
-	if err != nil {
-		return nil, err
-	}
-	return newScheme(net, KindPaper, s, s), nil
 }
 
 // Core returns the underlying core scheme when this Scheme wraps one
@@ -300,30 +270,6 @@ const (
 	KindLandmarkChain = schemes.KindLandmarkChain
 	KindTZ            = schemes.KindTZ
 )
-
-// NewFullTable builds the stretch-1 full-table baseline.
-// Equivalent to Build with Config{Kind: "fulltable"}.
-func NewFullTable(net *Network) (*Scheme, error) {
-	return Build(net, Config{Kind: KindFullTable})
-}
-
-// NewAPCover builds the aspect-ratio-dependent tree-cover baseline.
-// Equivalent to Build with Config{Kind: "apcover"}.
-func NewAPCover(net *Network, k int, seed uint64) (*Scheme, error) {
-	return Build(net, Config{Kind: KindAPCover, K: k, Seed: seed})
-}
-
-// NewLandmarkChain builds the scale-free unbounded-stretch baseline.
-// Equivalent to Build with Config{Kind: "landmark"}.
-func NewLandmarkChain(net *Network, k int, seed uint64) (*Scheme, error) {
-	return Build(net, Config{Kind: KindLandmarkChain, K: k, Seed: seed})
-}
-
-// NewTZ builds the Thorup–Zwick labeled baseline.
-// Equivalent to Build with Config{Kind: "tz"}.
-func NewTZ(net *Network, k int, seed uint64) (*Scheme, error) {
-	return Build(net, Config{Kind: KindTZ, K: k, Seed: seed})
-}
 
 func newScheme(net *Network, kind string, r sim.Router, t tableSizer) *Scheme {
 	return &Scheme{net: net, kind: kind, router: r, engine: sim.NewEngine(net.g), table: t}

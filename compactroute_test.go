@@ -19,7 +19,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheme(net, Options{K: 2, Seed: 1})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,19 +35,19 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestAllPublicSchemesOnOneNetwork: every registered kind builds
+// through Build on one network, delivers every pair, and reports its
+// table size. The failing kind registry_test.go registers (Register
+// has no undo) is the one exception.
 func TestAllPublicSchemesOnOneNetwork(t *testing.T) {
 	net := RandomNetwork(1, 40, 0.1, UniformWeights(1, 4))
-	build := []func() (*Scheme, error){
-		func() (*Scheme, error) { return NewScheme(net, Options{K: 2, Seed: 3}) },
-		func() (*Scheme, error) { return NewFullTable(net) },
-		func() (*Scheme, error) { return NewAPCover(net, 2, 3) },
-		func() (*Scheme, error) { return NewLandmarkChain(net, 2, 3) },
-		func() (*Scheme, error) { return NewTZ(net, 2, 3) },
-	}
-	for _, mk := range build {
-		s, err := mk()
+	for _, kind := range Kinds() {
+		if kind == failingKind {
+			continue
+		}
+		s, err := Build(net, Config{Kind: kind, K: 2, Seed: 3})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", kind, err)
 		}
 		st, err := s.MeasureStretch(1)
 		if err != nil {
@@ -64,7 +64,7 @@ func TestAllPublicSchemesOnOneNetwork(t *testing.T) {
 
 func TestRouteByUnknownNames(t *testing.T) {
 	net := RingNetwork(2, 10, UnitWeights())
-	s, err := NewScheme(net, Options{K: 2, Seed: 1})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestNetworkDistance(t *testing.T) {
 
 func TestCoreAccessor(t *testing.T) {
 	net := RingNetwork(4, 12, UnitWeights())
-	s, err := NewScheme(net, Options{K: 2, Seed: 1})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Core() == nil {
 		t.Fatal("core accessor nil for core scheme")
 	}
-	f, _ := NewFullTable(net)
+	f, _ := Build(net, Config{Kind: KindFullTable})
 	if f.Core() != nil {
 		t.Fatal("core accessor non-nil for baseline")
 	}
@@ -109,7 +109,7 @@ func TestCoreAccessor(t *testing.T) {
 
 func TestMeasureStretchSampled(t *testing.T) {
 	net := RandomNetwork(5, 30, 0.15, UnitWeights())
-	s, err := NewFullTable(net)
+	s, err := Build(net, Config{Kind: KindFullTable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMeasureStretchSampled(t *testing.T) {
 
 func TestInvalidRouteEndpoints(t *testing.T) {
 	net := RingNetwork(6, 8, UnitWeights())
-	s, _ := NewFullTable(net)
+	s, _ := Build(net, Config{Kind: KindFullTable})
 	if _, err := s.Route(-1, 2); err == nil {
 		t.Fatal("negative id accepted")
 	}
@@ -153,7 +153,7 @@ func TestRouteByLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheme(net, Options{K: 2, Seed: 1})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 // per-unit seeds, never from scheduling).
 func TestParallelBuildDeterminism(t *testing.T) {
 	net := RandomNetwork(9, 100, 0.06, UniformWeights(1, 6))
-	a, err := NewScheme(net, Options{K: 3, Seed: 5, SFactor: 1})
+	a, err := Build(net, Config{Kind: KindPaper, K: 3, Seed: 5, SFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewScheme(net, Options{K: 3, Seed: 5, SFactor: 1})
+	b, err := Build(net, Config{Kind: KindPaper, K: 3, Seed: 5, SFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestParallelBuildDeterminism(t *testing.T) {
 // goroutines may route through it simultaneously. Run with -race.
 func TestConcurrentRouting(t *testing.T) {
 	net := RandomNetwork(10, 80, 0.08, UniformWeights(1, 5))
-	s, err := NewScheme(net, Options{K: 2, Seed: 3, SFactor: 1})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 3, SFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

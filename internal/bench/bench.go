@@ -141,7 +141,7 @@ func newNet(g *graph.Graph) *net { return &net{g: g, apsp: sssp.AllPairs(g)} }
 // measure routes a strided sample of ordered pairs through a router
 // and returns the stretch distribution; it errors on non-delivery for
 // routers that must always deliver. Rows fan across all cores (see
-// Measure); the distribution is identical to a serial sweep.
+// sim.Measure); the distribution is identical to a serial sweep.
 func (n *net) measure(r sim.Router, stride int, requireDelivery bool) (*stats.Stretch, error) {
-	return Measure(n.g, n.apsp, r, stride, 0, requireDelivery)
+	return sim.Measure(n.g, n.apsp, r, stride, 0, requireDelivery)
 }

@@ -33,7 +33,7 @@ func RunO1(ctx context.Context, w io.Writer, cfg Config) error {
 	}
 	g := gen.Gnp(cfg.Seed, n, 8/float64(n), gen.Uniform(1, 8))
 	net := compactroute.WrapGraph(g)
-	s, err := compactroute.NewTZ(net, k, cfg.Seed)
+	s, err := compactroute.Build(net, compactroute.Config{Kind: compactroute.KindTZ, K: k, Seed: cfg.Seed})
 	if err != nil {
 		return fmt.Errorf("O1: %w", err)
 	}

@@ -9,6 +9,10 @@ import (
 
 	"compactroute/internal/core"
 	"compactroute/internal/gen"
+	"compactroute/internal/graph"
+	"compactroute/internal/routeerr"
+	"compactroute/internal/sim"
+	"compactroute/internal/sssp"
 	"compactroute/internal/stats"
 )
 
@@ -33,13 +37,13 @@ func RunP1(ctx context.Context, w io.Writer, cfg Config) error {
 	workers := runtime.GOMAXPROCS(0)
 
 	t0 := time.Now()
-	serial, err := measureSerial(nn.g, nn.apsp, s, stride, true)
+	serial, err := measureSerial(nn.g, nn.apsp, s, stride)
 	if err != nil {
 		return err
 	}
 	serialTime := time.Since(t0)
 	t1 := time.Now()
-	parallel, err := Measure(nn.g, nn.apsp, s, stride, workers, true)
+	parallel, err := sim.Measure(nn.g, nn.apsp, s, stride, workers, true)
 	if err != nil {
 		return err
 	}
@@ -68,4 +72,28 @@ func RunP1(ctx context.Context, w io.Writer, cfg Config) error {
 	return cfg.emit(w, tb, fmt.Sprintf(
 		"distributions identical (n=%d mean=%.4f max=%.4f); expected shape: speedup → workers as n grows",
 		serial.N(), serial.Mean(), serial.Max()))
+}
+
+// measureSerial is the single-core reference sweep P1 times and holds
+// sim.Measure to: one engine, one accumulator, the plain row-major
+// double loop over a strided sample of sources, every pair delivered.
+func measureSerial(g *graph.Graph, apsp []*sssp.Result, r sim.Router, stride int) (*stats.Stretch, error) {
+	e := sim.NewEngine(g)
+	var st stats.Stretch
+	for u := 0; u < g.N(); u += stride {
+		for v := 0; v < g.N(); v++ {
+			if u == v {
+				continue
+			}
+			res, err := e.Route(r, graph.NodeID(u), g.Name(graph.NodeID(v)))
+			if err != nil {
+				return nil, err
+			}
+			if !res.Delivered {
+				return nil, fmt.Errorf("%s: %d→%d: %w", r.Name(), u, v, routeerr.ErrNotDelivered)
+			}
+			st.Add(res.Cost, apsp[u].Dist[v])
+		}
+	}
+	return &st, nil
 }

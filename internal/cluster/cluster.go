@@ -709,43 +709,3 @@ func (c *Cluster) Stats() Stats {
 		MaxCutoverNs:  c.maxCutoverNs.Load(),
 	}
 }
-
-// ShardHealth is one shard's row in the cluster health report.
-type ShardHealth struct {
-	URL       string `json:"url"`
-	Healthy   bool   `json:"healthy"`
-	Version   uint64 `json:"version"`
-	Pending   uint64 `json:"pending"`
-	Mutations uint64 `json:"mutations"`
-	Error     string `json:"error,omitempty"`
-}
-
-// Health probes every shard and reports the cluster view. Status is
-// "ok" with every shard healthy, "degraded" with at least one out,
-// and "down" with none serving.
-func (c *Cluster) Health(ctx context.Context) (string, []ShardHealth) {
-	rows := make([]ShardHealth, len(c.shards))
-	var wg sync.WaitGroup
-	for i, s := range c.shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			rows[i] = ShardHealth{URL: s.url, Healthy: s.healthy.Load()}
-			h, err := s.c.Healthz(ctx)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			rows[i].Version, rows[i].Pending, rows[i].Mutations = h.Version, h.Pending, h.Mutations
-		}(i, s)
-	}
-	wg.Wait()
-	switch h := c.healthyCount(); {
-	case h == 0:
-		return "down", rows
-	case h < len(c.shards):
-		return "degraded", rows
-	default:
-		return "ok", rows
-	}
-}

@@ -30,11 +30,12 @@ func shardConfig(n int) server.Config {
 // flaky wraps a shard handler with a kill switch: while down, every
 // connection is hijacked and closed mid-request, which the client
 // sees as a transport failure (not an API error). It also counts the
-// route and resolve calls that reach the shard.
+// route, resolve, stats, and healthz calls that reach the shard.
 type flaky struct {
 	h                http.Handler
 	down             atomic.Bool
 	routes, resolves atomic.Uint64
+	stats, healthz   atomic.Uint64
 }
 
 func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -43,6 +44,10 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.routes.Add(1)
 	case "/v1/resolve":
 		f.resolves.Add(1)
+	case "/v1/stats":
+		f.stats.Add(1)
+	case "/v1/healthz":
+		f.healthz.Add(1)
 	}
 	if f.down.Load() {
 		if hj, ok := w.(http.Hijacker); ok {

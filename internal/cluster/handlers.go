@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"compactroute"
 	"compactroute/client"
@@ -172,37 +170,65 @@ func (c *Cluster) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	}{v, c.healthyCount(), int64(pause)})
 }
 
+// ShardHealth is one shard's row in the cluster health report.
+type ShardHealth struct {
+	URL       string `json:"url"`
+	Healthy   bool   `json:"healthy"`
+	Version   uint64 `json:"version"`
+	Pending   uint64 `json:"pending"`
+	Mutations uint64 `json:"mutations"`
+	Error     string `json:"error,omitempty"`
+}
+
+// handleHealthz reports the cluster view from one scrape snapshot:
+// status "ok" with every shard healthy, "degraded" with at least one
+// out, "down" with none serving, plus every shard's version and log
+// position as that shard reports them.
 func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
-	status, rows := c.Health(ctx)
+	st, views := c.snapshot(r.Context(), true)
+	rows := make([]ShardHealth, len(views))
+	for i, v := range views {
+		rows[i] = ShardHealth{URL: v.url, Healthy: v.healthy}
+		switch {
+		case v.err != nil:
+			rows[i].Error = v.err.Error()
+		case v.stats.Dynamic != nil:
+			d := v.stats.Dynamic
+			rows[i].Version, rows[i].Pending, rows[i].Mutations = d.Version, d.Pending, d.Mutations
+		}
+	}
+	status := "ok"
+	switch {
+	case st.Healthy == 0:
+		status = "down"
+	case st.Healthy < st.Shards:
+		status = "degraded"
+	}
 	server.WriteJSON(w, map[string]any{
 		"status":  status,
 		"shards":  rows,
-		"healthy": c.healthyCount(),
+		"healthy": st.Healthy,
 	})
 }
 
+// handleStats reports the front-door counters plus every shard's own
+// /v1/stats, from one scrape snapshot.
 func (c *Cluster) handleStats(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
+	st, views := c.snapshot(r.Context(), true)
 	type shardStats struct {
-		URL   string          `json:"url"`
-		Stats json.RawMessage `json:"stats,omitempty"`
-		Error string          `json:"error,omitempty"`
+		URL   string        `json:"url"`
+		Stats *server.Stats `json:"stats,omitempty"`
+		Error string        `json:"error,omitempty"`
 	}
-	rows := make([]shardStats, len(c.shards))
-	for i, s := range c.shards {
-		rows[i] = shardStats{URL: s.url}
-		st, err := s.c.Stats(ctx)
-		if err != nil {
-			rows[i].Error = err.Error()
-			continue
+	rows := make([]shardStats, len(views))
+	for i, v := range views {
+		rows[i] = shardStats{URL: v.url, Stats: v.stats}
+		if v.err != nil {
+			rows[i].Error = v.err.Error()
 		}
-		rows[i].Stats = st
 	}
 	server.WriteJSON(w, map[string]any{
-		"cluster": c.Stats(),
+		"cluster": st,
 		"shards":  rows,
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"compactroute/client"
@@ -12,35 +13,74 @@ import (
 	"compactroute/internal/server"
 )
 
+// scrapeTimeout bounds one scrape's shard fan-out.
+const scrapeTimeout = 5 * time.Second
+
+// shardView is one shard's part of a scrape snapshot: the front-door's
+// health bit for it and the shard's own /v1/stats, or the error that
+// fetch failed with.
+type shardView struct {
+	url     string
+	healthy bool
+	stats   *server.Stats // nil when err is set
+	err     error
+}
+
+// snapshot is the one read behind every front-door scrape view
+// (/v1/healthz, /v1/stats, /v1/metrics): the coordination counters and
+// every shard's health bit, taken first, then each shard's /v1/stats,
+// fetched once per shard and in parallel. Healthy is recounted from
+// the rows' health bits, so all views of one scrape agree on which
+// shards are in. With ejected false, ejected shards get a row but no
+// fetch: metrics emits no stats for them, and one hung ejected shard
+// must not stall every scrape by the full timeout.
+func (c *Cluster) snapshot(ctx context.Context, ejected bool) (Stats, []shardView) {
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
+	defer cancel()
+	st := c.Stats()
+	st.Healthy = 0
+	views := make([]shardView, len(c.shards))
+	var wg sync.WaitGroup
+	for i, s := range c.shards {
+		views[i] = shardView{url: s.url, healthy: s.healthy.Load()}
+		if views[i].healthy {
+			st.Healthy++
+		} else if !ejected {
+			continue
+		}
+		wg.Add(1)
+		go func(v *shardView, s *shard) {
+			defer wg.Done()
+			raw, err := s.c.Stats(ctx)
+			if err == nil {
+				var ss server.Stats
+				if err = json.Unmarshal(raw, &ss); err == nil {
+					v.stats = &ss
+				}
+			}
+			v.err = err
+		}(&views[i], s)
+	}
+	wg.Wait()
+	return st, views
+}
+
 // handleMetrics serves the front-door scrape: request-level families
 // from the middleware, the cluster coordination counters, and a
-// per-shard block aggregated from each shard's /v1/stats at scrape
-// time with a shard="<url>" label, so one scrape of the front-door
-// sees the whole tier.
+// per-shard block from the scrape snapshot with a shard="<url>" label,
+// so one scrape of the front-door sees the whole tier.
 func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WriteText(w, c.metricFamilies(ctx)); err != nil {
+	if err := obs.WriteText(w, c.metricFamilies(r.Context())); err != nil {
 		c.logf("cluster: writing metrics: %v", err)
 	}
 }
 
-// shardScrape is the slice of a shard's /v1/stats reply the per-shard
-// series re-export (the embedded serve.Stats marshals with Go field
-// names; the dynamic block is tagged).
-type shardScrape struct {
-	Requests uint64 `json:"Requests"`
-	Hits     uint64 `json:"Hits"`
-	Dynamic  *struct {
-		Version uint64 `json:"version"`
-	} `json:"dynamic"`
-}
-
-// metricFamilies assembles the scrape deterministically: fixed family
-// order, shard points in configured shard order.
+// metricFamilies assembles the scrape deterministically from one
+// snapshot: fixed family order, shard points in configured shard
+// order.
 func (c *Cluster) metricFamilies(ctx context.Context) []obs.Family {
-	st := c.Stats()
+	st, views := c.snapshot(ctx, false)
 	fams := c.metrics.Families()
 	fams = append(fams,
 		obs.Counter(obs.MetricClusterRoutesTotal, "routing queries admitted by the front-door", float64(st.Routes)),
@@ -59,10 +99,11 @@ func (c *Cluster) metricFamilies(ctx context.Context) []obs.Family {
 		obs.Gauge(obs.MetricClusterShards, "shards configured", float64(st.Shards)),
 		obs.Gauge(obs.MetricClusterShardsHealthy, "shards serving right now", float64(st.Healthy)),
 	)
-	// Per-shard series, labeled shard="<url>". The up gauge comes from
-	// the front-door's own health bits; the rest are scraped from each
-	// healthy shard's /v1/stats (an unreachable shard simply has no
-	// points this scrape — up=0 already says why).
+	// Per-shard series, labeled shard="<url>". The up gauge is the
+	// front-door's own health bit; the rest come from the shard's
+	// stats, which the snapshot fetched for healthy shards only (an
+	// ejected shard simply has no points this scrape — up=0 already
+	// says why — and neither has a healthy one whose fetch failed).
 	up := obs.Family{Name: obs.MetricShardUp, Type: "gauge",
 		Help: "1 if the front-door considers the shard healthy"}
 	reqs := obs.Family{Name: obs.MetricShardRequestsTotal, Type: "counter",
@@ -71,29 +112,20 @@ func (c *Cluster) metricFamilies(ctx context.Context) []obs.Family {
 		Help: "queries the shard served from its result cache"}
 	vers := obs.Family{Name: obs.MetricShardTopologyVersion, Type: "gauge",
 		Help: "topology version the shard is serving"}
-	for _, s := range c.shards {
-		lbl := []obs.Label{{Name: "shard", Value: s.url}}
-		healthy := s.healthy.Load()
-		v := 0.0
-		if healthy {
-			v = 1
+	for _, v := range views {
+		lbl := []obs.Label{{Name: "shard", Value: v.url}}
+		upv := 0.0
+		if v.healthy {
+			upv = 1
 		}
-		up.Points = append(up.Points, obs.Point{Labels: lbl, Value: v})
-		if !healthy {
+		up.Points = append(up.Points, obs.Point{Labels: lbl, Value: upv})
+		if v.stats == nil {
 			continue
 		}
-		raw, err := s.c.Stats(ctx)
-		if err != nil {
-			continue
-		}
-		var ss shardScrape
-		if json.Unmarshal(raw, &ss) != nil {
-			continue
-		}
-		reqs.Points = append(reqs.Points, obs.Point{Labels: lbl, Value: float64(ss.Requests)})
-		hits.Points = append(hits.Points, obs.Point{Labels: lbl, Value: float64(ss.Hits)})
-		if ss.Dynamic != nil {
-			vers.Points = append(vers.Points, obs.Point{Labels: lbl, Value: float64(ss.Dynamic.Version)})
+		reqs.Points = append(reqs.Points, obs.Point{Labels: lbl, Value: float64(v.stats.Requests)})
+		hits.Points = append(hits.Points, obs.Point{Labels: lbl, Value: float64(v.stats.Hits)})
+		if d := v.stats.Dynamic; d != nil {
+			vers.Points = append(vers.Points, obs.Point{Labels: lbl, Value: float64(d.Version)})
 		}
 	}
 	fams = append(fams, up, reqs, hits, vers,

@@ -38,7 +38,7 @@ var families = []struct {
 func buildFamily(t *testing.T, fi int) *compactroute.Scheme {
 	t.Helper()
 	f := families[fi]
-	s, err := compactroute.NewScheme(f.net(), compactroute.Options{K: f.k, Seed: 9, SFactor: 0.5})
+	s, err := compactroute.Build(f.net(), compactroute.Config{Kind: compactroute.KindPaper, K: f.k, Seed: 9, SFactor: 0.5})
 	if err != nil {
 		t.Fatalf("%s: %v", f.name, err)
 	}

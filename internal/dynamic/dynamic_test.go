@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"compactroute/internal/codec"
 	"compactroute/internal/gen"
@@ -415,6 +416,59 @@ func TestTopologyPreSwapFailureKeepsServing(t *testing.T) {
 	}
 	if v.ID != 1 || tp.Pending() != 0 {
 		t.Fatalf("retry: v=%d pending=%d", v.ID, tp.Pending())
+	}
+}
+
+// TestStagedDoesNotWaitForStage: Staged answers while a Stage holds
+// the build path (here: parked in PreSwap), because health and stats
+// reads call it during every coordinated cut-over.
+func TestStagedDoesNotWaitForStage(t *testing.T) {
+	g := testGraph(t, 40, 23)
+	entered, release := make(chan struct{}), make(chan struct{})
+	cfgs := []schemes.Config{{Kind: schemes.KindFullTable, K: 2, Seed: 1}}
+	tp, err := NewTopology(context.Background(), g, TopologyOptions{Configs: cfgs, PreSwap: func(v *Version) error {
+		if v.ID == 1 {
+			close(entered)
+			<-release
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.Apply(Mutation{Op: OpSetWeight, U: g.Name(0), V: firstNeighborName(g, 0), W: 2}); err != nil {
+		t.Fatal(err)
+	}
+	staged := make(chan *Version, 1)
+	go func() {
+		v, err := tp.Stage(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		staged <- v
+	}()
+	<-entered
+	read := make(chan *Version, 1)
+	go func() { read <- tp.Staged() }()
+	select {
+	case v := <-read:
+		if v != nil {
+			t.Fatalf("mid-stage Staged() = version %d, want nil", v.ID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Staged() blocked behind a stage in progress")
+	}
+	close(release)
+	v := <-staged
+	if v == nil || tp.Staged() != v {
+		t.Fatal("after the stage: Staged() does not return the staged version")
+	}
+	if _, _, err := tp.Commit(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	if tp.Staged() != nil || tp.Current() != v {
+		t.Fatalf("after commit: staged %t, serving %d, want nothing staged and %d serving",
+			tp.Staged() != nil, tp.Current().ID, v.ID)
 	}
 }
 

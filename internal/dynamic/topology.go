@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compactroute/internal/graph"
@@ -133,7 +134,10 @@ type Topology struct {
 	swapper *Swapper
 
 	rebuildMu sync.Mutex // one rebuild/stage/commit at a time
-	staged    *Version   // built but not yet committed (guarded by rebuildMu)
+	// staged is the built-but-uncommitted version. It is written only
+	// under rebuildMu but read without it, so Staged never waits out a
+	// build in progress.
+	staged atomic.Pointer[Version]
 }
 
 // NewTopology seals g as version 0, builds its schemes synchronously
@@ -238,7 +242,7 @@ func (t *Topology) Rebuild(ctx context.Context) (v *Version, pause time.Duration
 	if next == t.Current() {
 		return next, 0, nil
 	}
-	t.staged = nil
+	t.staged.Store(nil)
 	return next, t.swapper.Swap(next), nil
 }
 
@@ -267,10 +271,10 @@ func (t *Topology) stageLocked(ctx context.Context) (*Version, error) {
 	cur := t.Current()
 	to := t.log.Len()
 	if to == cur.MutTo {
-		t.staged = nil // nothing pending: any staged version is obsolete
+		t.staged.Store(nil) // nothing pending: any staged version is obsolete
 		return cur, nil
 	}
-	if s := t.staged; s != nil && s.Parent == cur.ID && s.MutTo == to {
+	if s := t.staged.Load(); s != nil && s.Parent == cur.ID && s.MutTo == to {
 		return s, nil // already staged at exactly this log position
 	}
 	muts := t.log.Slice(cur.MutTo, to)
@@ -287,7 +291,7 @@ func (t *Topology) stageLocked(ctx context.Context) (*Version, error) {
 			return nil, fmt.Errorf("dynamic: version %d pre-swap: %w", next.ID, err)
 		}
 	}
-	t.staged = next
+	t.staged.Store(next)
 	return next, nil
 }
 
@@ -305,22 +309,20 @@ func (t *Topology) Commit(id uint64) (*Version, time.Duration, error) {
 	if cur.ID == id {
 		return cur, 0, nil
 	}
-	if t.staged == nil {
+	v := t.staged.Load()
+	if v == nil {
 		return nil, 0, fmt.Errorf("dynamic: commit version %d: nothing staged (serving %d): %w",
 			id, cur.ID, routeerr.ErrVersionSkew)
 	}
-	if t.staged.ID != id {
+	if v.ID != id {
 		return nil, 0, fmt.Errorf("dynamic: commit version %d: staged version is %d: %w",
-			id, t.staged.ID, routeerr.ErrVersionSkew)
+			id, v.ID, routeerr.ErrVersionSkew)
 	}
-	v := t.staged
-	t.staged = nil
+	t.staged.Store(nil)
 	return v, t.swapper.Swap(v), nil
 }
 
-// Staged returns the staged-but-uncommitted version, or nil.
-func (t *Topology) Staged() *Version {
-	t.rebuildMu.Lock()
-	defer t.rebuildMu.Unlock()
-	return t.staged
-}
+// Staged returns the staged-but-uncommitted version, or nil. It takes
+// no lock: health and stats reads call it, and must answer while a
+// stage or rebuild holds the build path for seconds.
+func (t *Topology) Staged() *Version { return t.staged.Load() }

@@ -309,10 +309,12 @@ func isCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Stats returns a point-in-time snapshot of the counters.
+// Stats returns a point-in-time snapshot of the counters. Requests is
+// read last: a query counts as admitted before any outcome counts it,
+// so a query admitted and resolved mid-read can raise Requests but
+// never push the outcomes past it.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Requests:  p.requests.Load(),
 		Hits:      p.hits.Load(),
 		Misses:    p.misses.Load(),
 		Coalesced: p.coalesced.Load(),
@@ -324,6 +326,7 @@ func (p *Pool) Stats() Stats {
 		CacheOff:  p.noCache,
 		ShardsLen: len(p.shards),
 	}
+	s.Requests = p.requests.Load()
 	if !p.noCache {
 		for _, sh := range p.shards {
 			s.CacheLen += sh.len()

@@ -12,11 +12,9 @@ import (
 	"compactroute"
 )
 
-// TestVersionedAndLegacyPathsAgree is the compatibility pin for the
-// /v1 surface: every legacy unversioned path must answer exactly like
-// its /v1 successor — same status, same body — while carrying the
-// Deprecation marker, and the error-code mapping (422/503/500/409)
-// must hold on both forms.
+// TestVersionedAndLegacyPathsAgree pins the /v1 surface: the
+// status-code mapping (200/202/400/409/422) holds on route, healthz,
+// stats, mutate, and rebuild, and every unversioned path answers 404.
 func TestVersionedAndLegacyPathsAgree(t *testing.T) {
 	static, _ := buildStatic(t, Config{})
 	tsStatic := httptest.NewServer(static.Handler())
@@ -51,60 +49,44 @@ func TestVersionedAndLegacyPathsAgree(t *testing.T) {
 	goodRoute := fmt.Sprintf("/route?src=%d&dst=%d", g.Name(0), g.Name(1))
 	mut := `{"op":"setweight","u":` + fmt.Sprint(g.Name(0)) + `,"v":` + fmt.Sprint(firstNeighbor(net)) + `,"w":2}`
 	for _, tc := range []struct {
-		name     string
-		ts       *httptest.Server
-		method   string
-		path     string // unversioned form; /v1 + path is the successor
-		body     string
-		want     int
-		skipBody bool // response carries moving counters (seq, pending, stats)
+		name   string
+		ts     *httptest.Server
+		method string
+		path   string // below /v1
+		body   string
+		want   int
 	}{
-		{"route ok", tsDyn, "GET", goodRoute, "", http.StatusOK, false},
-		{"route unknown name 422", tsDyn, "GET", "/route?src=1&dst=2", "", http.StatusUnprocessableEntity, false},
-		{"route bad name 400", tsDyn, "GET", "/route?src=zz&dst=1", "", http.StatusBadRequest, false},
-		{"healthz ok", tsDyn, "GET", "/healthz", "", http.StatusOK, false},
-		{"stats ok", tsDyn, "GET", "/stats", "", http.StatusOK, true},
-		{"mutate ok", tsDyn, "POST", "/mutate", mut, http.StatusOK, true},
-		{"mutate invalid 422", tsDyn, "POST", "/mutate", `{"op":"setweight","u":3405691582,"v":1,"w":2}`, http.StatusUnprocessableEntity, false},
-		{"mutate static 409", tsStatic, "POST", "/mutate", mut, http.StatusConflict, false},
-		{"rebuild static 409", tsStatic, "POST", "/rebuild", "", http.StatusConflict, false},
-		{"rebuild async 202", tsDyn, "POST", "/rebuild?wait=0", "", http.StatusAccepted, true},
+		{"route ok", tsDyn, "GET", goodRoute, "", http.StatusOK},
+		{"route unknown name 422", tsDyn, "GET", "/route?src=1&dst=2", "", http.StatusUnprocessableEntity},
+		{"route bad name 400", tsDyn, "GET", "/route?src=zz&dst=1", "", http.StatusBadRequest},
+		{"healthz ok", tsDyn, "GET", "/healthz", "", http.StatusOK},
+		{"stats ok", tsDyn, "GET", "/stats", "", http.StatusOK},
+		{"mutate ok", tsDyn, "POST", "/mutate", mut, http.StatusOK},
+		{"mutate invalid 422", tsDyn, "POST", "/mutate", `{"op":"setweight","u":3405691582,"v":1,"w":2}`, http.StatusUnprocessableEntity},
+		{"mutate static 409", tsStatic, "POST", "/mutate", mut, http.StatusConflict},
+		{"rebuild static 409", tsStatic, "POST", "/rebuild", "", http.StatusConflict},
+		{"rebuild async 202", tsDyn, "POST", "/rebuild?wait=0", "", http.StatusAccepted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			vResp, vBody := do(tc.ts, tc.method, "/v1"+tc.path, tc.body)
-			if vResp.StatusCode != tc.want {
-				t.Fatalf("/v1%s: %d %s, want %d", tc.path, vResp.StatusCode, vBody, tc.want)
-			}
-			if vResp.Header.Get("Deprecation") != "" {
-				t.Fatalf("/v1%s marked deprecated", tc.path)
-			}
-			lResp, lBody := do(tc.ts, tc.method, tc.path, tc.body)
-			if lResp.StatusCode != tc.want {
-				t.Fatalf("%s: %d %s, want %d", tc.path, lResp.StatusCode, lBody, tc.want)
-			}
-			if lResp.Header.Get("Deprecation") != "true" {
-				t.Fatalf("%s: legacy path without Deprecation header", tc.path)
-			}
-			if link := lResp.Header.Get("Link"); !strings.Contains(link, "/v1"+strings.SplitN(tc.path, "?", 2)[0]) {
-				t.Fatalf("%s: Link header %q does not name the /v1 successor", tc.path, link)
-			}
-			// Bodies with moving counters are exempt; everything
-			// else must be byte-identical across the two forms.
-			if !tc.skipBody && vBody != lBody {
-				t.Fatalf("%s: body diverged between forms:\n/v1: %s\nlegacy: %s", tc.path, vBody, lBody)
+			if resp, body := do(tc.ts, tc.method, "/v1"+tc.path, tc.body); resp.StatusCode != tc.want {
+				t.Fatalf("/v1%s: %d %s, want %d", tc.path, resp.StatusCode, body, tc.want)
 			}
 		})
 	}
 
-	// /v1-only endpoints must NOT exist unversioned: the pre-v1
-	// surface is frozen.
+	// Only /v1 is served.
 	for _, tc := range []struct{ method, path string }{
+		{"GET", goodRoute},
+		{"GET", "/healthz"},
+		{"GET", "/stats"},
+		{"POST", "/mutate"},
+		{"POST", "/rebuild"},
 		{"GET", "/resolve?src=1&dst=2"},
 		{"POST", "/swap"},
 	} {
-		resp, _ := do(tsDyn, tc.method, tc.path, `{"version":0}`)
+		resp, _ := do(tsDyn, tc.method, tc.path, mut)
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s %s: %d, want 404 (v1-only endpoint leaked unversioned)", tc.method, tc.path, resp.StatusCode)
+			t.Fatalf("%s %s: %d, want 404 (only /v1 is served)", tc.method, tc.path, resp.StatusCode)
 		}
 	}
 }

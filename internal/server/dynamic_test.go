@@ -64,7 +64,7 @@ func TestStaticServerRejectsMutations(t *testing.T) {
 	srv, _ := buildStatic(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/v1/mutate", "/v1/rebuild", "/v1/swap", "/mutate", "/rebuild"} {
+	for _, path := range []string{"/v1/mutate", "/v1/rebuild", "/v1/swap"} {
 		resp, body := postJSON(t, ts, path, compactroute.MutSetWeight(1, 2, 3))
 		if resp.StatusCode != http.StatusConflict {
 			t.Fatalf("%s on static scheme: %d %s", path, resp.StatusCode, body)

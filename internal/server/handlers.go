@@ -21,58 +21,31 @@ import (
 // Conflict semantics: StatusFor maps it to 409.
 var ErrStatic = errors.New("scheme is static (loaded from a file); serve a registry kind to mutate")
 
-// endpoints is the route table shared by the /v1 surface and the
-// deprecated unversioned aliases.
-func (s *Server) endpoints() []struct {
-	method, path string
-	h            http.HandlerFunc
-	legacy       bool // also registered unversioned (the pre-v1 surface)
-} {
-	return []struct {
-		method, path string
-		h            http.HandlerFunc
-		legacy       bool
-	}{
-		{"GET", "/route", s.handleRoute, true},
-		{"GET", "/resolve", s.handleResolve, false},
-		{"GET", "/healthz", s.handleHealthz, true},
-		{"GET", "/stats", s.handleStats, true},
-		{"GET", "/metrics", s.handleMetrics, false},
-		{"GET", "/trace/{id}", s.handleTrace, false},
-		{"GET", "/traces/recent", s.handleTracesRecent, false},
-		{"GET", "/events", s.handleEvents, false},
-		{"POST", "/mutate", s.handleMutate, true},
-		{"POST", "/rebuild", s.handleRebuild, true},
-		{"POST", "/swap", s.handleSwap, false},
-	}
-}
-
-// initRoutes wires the pool and the HTTP routes shared by both modes.
-// Every endpoint lives under /v1; the original unversioned paths stay
-// registered as deprecated aliases answering identically (plus a
-// Deprecation header), so pre-v1 clients keep working.
+// initRoutes wires the pool and the /v1 HTTP routes shared by both
+// modes.
 func (s *Server) initRoutes(r serve.Router) {
 	s.pool = serve.NewPool(r, serve.Options{Workers: s.cfg.Workers, CacheSize: s.cfg.CacheSize, Shards: s.cfg.Shards})
 	s.mux = http.NewServeMux()
 	// Every endpoint passes the observability boundary: trace minting
 	// or adoption, per-endpoint status/latency metrics, slow log.
 	o := &obs.HTTP{Tracer: s.tracer, Metrics: s.metrics, Slow: s.slow}
-	for _, ep := range s.endpoints() {
-		h := o.Observe(ep.path, ep.h)
-		s.mux.HandleFunc(ep.method+" /v1"+ep.path, h)
-		if ep.legacy {
-			s.mux.HandleFunc(ep.method+" "+ep.path, deprecated(ep.path, h))
-		}
-	}
-}
-
-// deprecated marks a legacy unversioned endpoint: same handler, plus
-// headers pointing clients at the /v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+successor+`>; rel="successor-version"`)
-		h(w, r)
+	for _, ep := range []struct {
+		method, path string
+		h            http.HandlerFunc
+	}{
+		{"GET", "/route", s.handleRoute},
+		{"GET", "/resolve", s.handleResolve},
+		{"GET", "/healthz", s.handleHealthz},
+		{"GET", "/stats", s.handleStats},
+		{"GET", "/metrics", s.handleMetrics},
+		{"GET", "/trace/{id}", s.handleTrace},
+		{"GET", "/traces/recent", s.handleTracesRecent},
+		{"GET", "/events", s.handleEvents},
+		{"POST", "/mutate", s.handleMutate},
+		{"POST", "/rebuild", s.handleRebuild},
+		{"POST", "/swap", s.handleSwap},
+	} {
+		s.mux.HandleFunc(ep.method+" /v1"+ep.path, o.Observe(ep.path, ep.h))
 	}
 }
 
@@ -415,31 +388,27 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	scheme := s.currentScheme()
+	st := s.Stats()
 	resp := map[string]any{
 		"status": "ok",
-		"scheme": scheme.Name(),
-		"kind":   scheme.Kind(),
-		"nodes":  scheme.Network().N(),
-		"edges":  scheme.Network().Graph().M(),
-		"metric": scheme.Network().HasMetric(),
+		"scheme": st.Scheme,
+		"kind":   st.Kind,
+		"nodes":  st.Nodes,
+		"edges":  st.Edges,
+		"metric": st.Metric,
 	}
-	if s.dyn != nil {
-		v := s.dyn.Version()
-		swaps, _, _ := s.dyn.SwapStats()
-		pending := s.dyn.Pending()
+	if d := st.Dynamic; d != nil {
 		resp["dynamic"] = true
-		resp["version"] = v.ID
-		resp["pending"] = pending
+		resp["version"] = d.Version
+		resp["pending"] = d.Pending
 		// Log length: the cluster's re-admission check compares it (and
 		// the version ID) against a healthy reference shard before
 		// letting an ejected shard serve again.
-		resp["mutations"] = v.MutTo + pending
-		resp["swaps"] = swaps
-		fs := s.repair.Stats()
-		resp["downNodes"] = fs.DownNodes
-		resp["downEdges"] = fs.DownEdges
-		resp["damped"] = fs.Damped
+		resp["mutations"] = d.Mutations
+		resp["swaps"] = d.Swaps
+		resp["downNodes"] = st.Faults.DownNodes
+		resp["downEdges"] = st.Faults.DownEdges
+		resp["damped"] = st.Faults.Damped
 	}
 	WriteJSON(w, resp)
 }

@@ -63,7 +63,7 @@ func TestDrainRejectsNewWorkCompletesInFlight(t *testing.T) {
 
 	// Every NEW request is refused — the data path and the health
 	// check alike, so a load balancer pulls the node.
-	for _, path := range []string{"/v1/route?src=1&dst=2", "/v1/healthz", "/healthz", "/v1/stats"} {
+	for _, path := range []string{"/v1/route?src=1&dst=2", "/v1/healthz", "/v1/stats", "/v1/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -6,11 +6,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"compactroute"
 	"compactroute/internal/obs"
-	"compactroute/internal/serve"
 )
 
 // scrapeMetrics fetches /v1/metrics and insists the body parses under
@@ -129,9 +129,12 @@ func TestMetricsEndpointParsesWithMonotonicCounters(t *testing.T) {
 // concurrent routes, mutations, rebuilds, and hot swaps while reading
 // Stats() snapshots, and checks the invariants every snapshot must
 // satisfy regardless of interleaving: counters never go backwards,
-// resolved outcomes never exceed admitted requests, and gauges stay
-// in range. Run under -race this also pins that the snapshot path
-// takes no unsynchronized reads.
+// resolved outcomes never exceed admitted requests, gauges stay in
+// range, and the mutation log length never decreases nor falls below
+// the mutations acknowledged before the read (a swap between the
+// version and pending reads would pair an old sealed position with a
+// new empty backlog). Run under -race this also pins that the
+// snapshot path takes no unsynchronized reads.
 func TestStatsSnapshotConsistentUnderChurn(t *testing.T) {
 	srv, net := buildDynamic(t, "tz", 80, 0)
 	ts := httptest.NewServer(srv.Handler())
@@ -158,30 +161,47 @@ func TestStatsSnapshotConsistentUnderChurn(t *testing.T) {
 			}
 		}(w)
 	}
-	// Mutator: weight churn plus rebuild+swap, purging the cache.
+	// Mutator: weight churn on a real edge, each mutation followed by
+	// a synchronous rebuild + hot swap that purges the cache.
+	var acked atomic.Uint64
+	mutatorDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(mutatorDone)
 		for i := 0; i < iters/4; i++ {
-			resp, _ := postJSON(t, ts, "/v1/mutate", []compactroute.Mutation{
-				compactroute.MutSetWeight(g.Name(0), g.Name(1), float64(1+i%5)),
+			resp, body := postJSON(t, ts, "/v1/mutate", []compactroute.Mutation{
+				compactroute.MutSetWeight(g.Name(0), firstNeighbor(net), float64(1+i%5)),
 			})
 			if resp.StatusCode != http.StatusOK {
-				continue // edge may not exist on this topology; routes still churn
+				t.Errorf("mutate %d: %d %s", i, resp.StatusCode, body)
+				return
 			}
-			if resp, _ := postJSON(t, ts, "/v1/rebuild", nil); resp.StatusCode == http.StatusOK {
-				postJSON(t, ts, "/v1/swap", nil)
+			acked.Add(1)
+			if resp, body := postJSON(t, ts, "/v1/rebuild?wait=1", nil); resp.StatusCode != http.StatusOK {
+				t.Errorf("rebuild %d: %d %s", i, resp.StatusCode, body)
+				return
 			}
 		}
 	}()
-	// Reader: successive snapshots must be internally consistent and
-	// mutually monotonic.
+	// Reader: successive snapshots, taken until the mutator is done,
+	// must be internally consistent and mutually monotonic.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var prev serve.Stats
-		for i := 0; i < iters*2; i++ {
-			s := srv.pool.Stats()
+		var prev Stats
+		prev.Dynamic = &DynStats{}
+		for i := 0; ; i++ {
+			select {
+			case <-mutatorDone:
+				if i >= iters*2 {
+					return
+				}
+			default:
+			}
+			floor := acked.Load()
+			st := srv.Stats()
+			s, d := st.Stats, st.Dynamic
 			if s.Hits+s.Misses+s.Coalesced+s.Rejected > s.Requests {
 				t.Errorf("snapshot %d: resolved %d exceeds admitted %d: %+v",
 					i, s.Hits+s.Misses+s.Coalesced+s.Rejected, s.Requests, s)
@@ -191,19 +211,32 @@ func TestStatsSnapshotConsistentUnderChurn(t *testing.T) {
 				t.Errorf("snapshot %d: gauges out of range: %+v", i, s)
 				return
 			}
-			if s.Requests < prev.Requests || s.Hits < prev.Hits || s.Misses < prev.Misses ||
-				s.Coalesced < prev.Coalesced || s.Errors < prev.Errors ||
-				s.Rejected < prev.Rejected || s.Purges < prev.Purges {
-				t.Errorf("snapshot %d went backwards: %+v then %+v", i, prev, s)
+			if p := prev.Stats; s.Requests < p.Requests || s.Hits < p.Hits || s.Misses < p.Misses ||
+				s.Coalesced < p.Coalesced || s.Errors < p.Errors ||
+				s.Rejected < p.Rejected || s.Purges < p.Purges {
+				t.Errorf("snapshot %d went backwards: %+v then %+v", i, p, s)
 				return
 			}
-			prev = s
+			if d.Mutations < prev.Dynamic.Mutations || d.Mutations < floor {
+				t.Errorf("snapshot %d: log length %d (version %d, pending %d), previous %d, acknowledged before the read %d",
+					i, d.Mutations, d.Version, d.Pending, prev.Dynamic.Mutations, floor)
+				return
+			}
+			if d.Version < prev.Dynamic.Version || d.Pending > d.Mutations {
+				t.Errorf("snapshot %d: version %d pending %d mutations %d after version %d",
+					i, d.Version, d.Pending, d.Mutations, prev.Dynamic.Version)
+				return
+			}
+			prev = st
 		}
 	}()
 	wg.Wait()
 
-	s := srv.pool.Stats()
-	if s.Requests == 0 || s.Misses == 0 {
-		t.Fatalf("churn produced no pool traffic: %+v", s)
+	st := srv.Stats()
+	if st.Requests == 0 || st.Misses == 0 {
+		t.Fatalf("churn produced no pool traffic: %+v", st.Stats)
+	}
+	if want := acked.Load(); st.Dynamic.Mutations != want || st.Dynamic.Version != want || st.Dynamic.Pending != 0 {
+		t.Fatalf("after %d mutate+rebuild rounds: %+v", want, *st.Dynamic)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"strconv"
+	"time"
 
 	"compactroute/internal/obs"
 )
@@ -17,44 +18,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metricFamilies assembles the scrape deterministically: fixed family
-// order, sorted label sets within each family.
+// metricFamilies assembles the scrape deterministically from one
+// Stats snapshot: fixed family order, sorted label sets within each
+// family.
 func (s *Server) metricFamilies() []obs.Family {
-	ps := s.pool.Stats()
+	st := s.Stats()
 	fams := s.metrics.Families()
 	fams = append(fams,
-		obs.Counter(obs.MetricPoolRequestsTotal, "queries admitted by the worker pool", float64(ps.Requests)),
-		obs.Counter(obs.MetricPoolHitsTotal, "queries served from the result cache", float64(ps.Hits)),
-		obs.Counter(obs.MetricPoolMissesTotal, "queries routed by a worker", float64(ps.Misses)),
-		obs.Counter(obs.MetricPoolCoalescedTotal, "queries that joined an identical in-flight computation", float64(ps.Coalesced)),
-		obs.Counter(obs.MetricPoolErrorsTotal, "routing errors", float64(ps.Errors)),
-		obs.Counter(obs.MetricPoolRejectedTotal, "queries canceled while waiting for a worker or a flight", float64(ps.Rejected)),
-		obs.Counter(obs.MetricPoolPurgesTotal, "full result-cache invalidations", float64(ps.Purges)),
-		obs.Gauge(obs.MetricPoolInflight, "queries routing right now", float64(ps.InFlight)),
-		obs.Gauge(obs.MetricPoolCacheEntries, "result-cache entries resident", float64(ps.CacheLen)),
-		obs.Gauge(obs.MetricPoolCacheCapacity, "result-cache configured capacity", float64(ps.CacheCap)),
-		obs.Gauge(obs.MetricPoolWorkers, "worker pool size", float64(ps.Workers)),
+		obs.Counter(obs.MetricPoolRequestsTotal, "queries admitted by the worker pool", float64(st.Requests)),
+		obs.Counter(obs.MetricPoolHitsTotal, "queries served from the result cache", float64(st.Hits)),
+		obs.Counter(obs.MetricPoolMissesTotal, "queries routed by a worker", float64(st.Misses)),
+		obs.Counter(obs.MetricPoolCoalescedTotal, "queries that joined an identical in-flight computation", float64(st.Coalesced)),
+		obs.Counter(obs.MetricPoolErrorsTotal, "routing errors", float64(st.Errors)),
+		obs.Counter(obs.MetricPoolRejectedTotal, "queries canceled while waiting for a worker or a flight", float64(st.Rejected)),
+		obs.Counter(obs.MetricPoolPurgesTotal, "full result-cache invalidations", float64(st.Purges)),
+		obs.Gauge(obs.MetricPoolInflight, "queries routing right now", float64(st.InFlight)),
+		obs.Gauge(obs.MetricPoolCacheEntries, "result-cache entries resident", float64(st.CacheLen)),
+		obs.Gauge(obs.MetricPoolCacheCapacity, "result-cache configured capacity", float64(st.CacheCap)),
+		obs.Gauge(obs.MetricPoolWorkers, "worker pool size", float64(st.Workers)),
 	)
-	if s.dyn != nil {
-		v := s.dyn.Version()
-		swaps, last, max := s.dyn.SwapStats()
-		pending := s.dyn.Pending()
-		fs := s.repair.Stats()
+	if d := st.Dynamic; d != nil {
 		fams = append(fams,
-			obs.Gauge(obs.MetricTopologyVersion, "topology version serving right now", float64(v.ID)),
-			obs.Counter(obs.MetricMutationsTotal, "mutation log length (applied + pending)", float64(v.MutTo+pending)),
-			obs.Gauge(obs.MetricMutationsPending, "mutations awaiting a rebuild", float64(pending)),
-			obs.Counter(obs.MetricSwapsTotal, "topology hot swaps committed", float64(swaps)),
+			obs.Gauge(obs.MetricTopologyVersion, "topology version serving right now", float64(d.Version)),
+			obs.Counter(obs.MetricMutationsTotal, "mutation log length (applied + pending)", float64(d.Mutations)),
+			obs.Gauge(obs.MetricMutationsPending, "mutations awaiting a rebuild", float64(d.Pending)),
+			obs.Counter(obs.MetricSwapsTotal, "topology hot swaps committed", float64(d.Swaps)),
 			obs.Family{Name: obs.MetricSwapPauseSeconds, Type: "gauge",
 				Help: "hot-swap serving pause, last and lifetime max",
 				Points: []obs.Point{
-					{Labels: []obs.Label{{Name: "window", Value: "last"}}, Value: last.Seconds()},
-					{Labels: []obs.Label{{Name: "window", Value: "max"}}, Value: max.Seconds()},
+					{Labels: []obs.Label{{Name: "window", Value: "last"}}, Value: time.Duration(d.LastPauseNs).Seconds()},
+					{Labels: []obs.Label{{Name: "window", Value: "max"}}, Value: time.Duration(d.MaxPauseNs).Seconds()},
 				}},
-			obs.Gauge(obs.MetricRebuildWallSeconds, "build wall time of the serving version", v.BuildWall.Seconds()),
-			obs.Gauge(obs.MetricFaultDownNodes, "nodes currently down in the fault overlay", float64(fs.DownNodes)),
-			obs.Gauge(obs.MetricFaultDownEdges, "edges currently down in the fault overlay", float64(fs.DownEdges)),
-			obs.Gauge(obs.MetricFaultDamped, "elements currently flap-damped", float64(fs.Damped)),
+			obs.Gauge(obs.MetricRebuildWallSeconds, "build wall time of the serving version", time.Duration(d.BuildWallNs).Seconds()),
+			obs.Gauge(obs.MetricFaultDownNodes, "nodes currently down in the fault overlay", float64(st.Faults.DownNodes)),
+			obs.Gauge(obs.MetricFaultDownEdges, "edges currently down in the fault overlay", float64(st.Faults.DownEdges)),
+			obs.Gauge(obs.MetricFaultDamped, "elements currently flap-damped", float64(st.Faults.Damped)),
 		)
 	}
 	fams = append(fams,

@@ -8,8 +8,7 @@
 // through compactroute.Dynamic: mutate → background rebuild → hot
 // swap). Queries run on a bounded worker pool with a sharded
 // single-flight LRU result cache (internal/serve); the HTTP surface is
-// versioned under /v1 with the original unversioned paths kept as
-// deprecated aliases:
+// versioned under /v1:
 //
 //	GET  /v1/route    route between external names (+ live version)
 //	GET  /v1/resolve  name resolution + shortest-path distance, without
@@ -317,29 +316,6 @@ func (s *Server) initStatic(cfg Config) error {
 	return nil
 }
 
-// newStatic wraps an already-built scheme — the in-process equivalent
-// of loading a file (tests, embedders holding a *Scheme). Like
-// initStatic, cfg.Metric is honored strictly before the pool exists.
-func newStatic(scheme *compactroute.Scheme, cfg Config) *Server {
-	s := &Server{cfg: cfg, logf: cfg.Logf, done: make(chan struct{}), loopDone: make(chan struct{}), scheme: scheme}
-	if s.logf == nil {
-		s.logf = log.Printf
-	}
-	if cfg.Metric {
-		scheme.Network().EnsureMetric()
-	}
-	s.initObs(cfg)
-	s.initRoutes(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
-		walk := time.Now()
-		res, err := toServeResult(scheme.RouteByNameCtx(ctx, src, dst))
-		if err == nil {
-			obs.SpanN(ctx, "scheme", "walk", scheme.Kind(), walk, int64(res.Hops))
-		}
-		return res, err
-	}))
-	return s
-}
-
 // BuildNetwork materializes the topology a kind-built Server
 // constructs over: cfg.GraphFile when set, else a generated gnp
 // network from (Seed, N, P) with uniform [1, 8] weights. Exported so
@@ -436,8 +412,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Handler returns the HTTP surface: the /v1 routes (plus deprecated
-// unversioned aliases) behind the drain gate.
+// Handler returns the HTTP surface: the /v1 routes behind the drain
+// gate.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Increment-before-check pairs with Drain's store-then-poll:
@@ -558,38 +534,67 @@ type DynStats struct {
 	Swaps       uint64  `json:"swaps"`
 	LastPauseNs int64   `json:"lastPauseNs"`
 	MaxPauseNs  int64   `json:"maxPauseNs"`
+	BuildWallNs int64   `json:"buildWallNs"` // build wall time of the serving version
 }
 
-// Stats embeds the pool counters (flattened, the pre-dynamic shape)
-// plus the optional dynamic block.
+// Stats is one point-in-time snapshot of the serving tier: the pool
+// counters (embedded flat, the pre-dynamic shape), the identity of the
+// scheme answering queries, and the optional dynamic and fault blocks.
+// /v1/stats is its JSON form; /v1/healthz and /v1/metrics render from
+// it too, so every scrape view reads one snapshot.
 type Stats struct {
 	serve.Stats
+	Scheme  string            `json:"scheme"` // Scheme.Name of the serving scheme
+	Kind    string            `json:"kind"`
+	Nodes   int               `json:"nodes"`
+	Edges   int               `json:"edges"`
+	Metric  bool              `json:"metric"` // shortest-path metric present (answers carry stretch)
 	Dynamic *DynStats         `json:"dynamic,omitempty"`
 	Faults  *serve.FaultStats `json:"faults,omitempty"`
 }
 
-// Stats returns a point-in-time snapshot of the serving counters.
+// Stats returns a point-in-time snapshot of the serving tier: the one
+// read of the pool, dynamic-handle, and repair-layer state behind
+// every scrape view. It never waits on a build in progress, because
+// /v1/healthz renders from it and health probes must answer while a
+// shard stages its part of a cut-over.
 func (s *Server) Stats() Stats {
 	out := Stats{Stats: s.pool.Stats()}
+	scheme := s.currentScheme()
 	if s.dyn != nil {
-		v := s.dyn.Version()
-		swaps, last, max := s.dyn.SwapStats()
-		pending := s.dyn.Pending()
-		out.Dynamic = &DynStats{
-			Version:     v.ID,
-			Pending:     pending,
-			Mutations:   v.MutTo + pending,
-			Swaps:       swaps,
-			LastPauseNs: int64(last),
-			MaxPauseNs:  int64(max),
-		}
-		if sv, ok := s.dyn.Staged(); ok {
-			id := sv.ID
-			out.Dynamic.Staged = &id
+		// Read the version, then the rest, then the version again, and
+		// retry until no swap landed in between: a swap between the
+		// version and pending reads would pair the old version's sealed
+		// log position with the new one's empty backlog, and the log
+		// length would fall below mutations already acknowledged.
+		for {
+			v := s.dyn.Version()
+			scheme = s.currentScheme()
+			pending := s.dyn.Pending()
+			swaps, last, max := s.dyn.SwapStats()
+			out.Dynamic = &DynStats{
+				Version:     v.ID,
+				Pending:     pending,
+				Mutations:   v.MutTo + pending,
+				Swaps:       swaps,
+				LastPauseNs: int64(last),
+				MaxPauseNs:  int64(max),
+				BuildWallNs: int64(v.BuildWall),
+			}
+			if sv, ok := s.dyn.Staged(); ok {
+				id := sv.ID
+				out.Dynamic.Staged = &id
+			}
+			if s.dyn.Version().ID == v.ID {
+				break
+			}
 		}
 		fs := s.repair.Stats()
 		out.Faults = &fs
 	}
+	net := scheme.Network()
+	out.Scheme, out.Kind = scheme.Name(), scheme.Kind()
+	out.Nodes, out.Edges, out.Metric = net.N(), net.Graph().M(), net.HasMetric()
 	return out
 }
 

@@ -20,13 +20,12 @@ import (
 // discardLogf keeps test output quiet.
 func discardLogf(string, ...any) {}
 
-// buildStatic builds a small scheme, round-trips it through the codec
-// (the exact path the daemon takes at startup), and wraps it in the
-// serving tier.
+// buildStatic builds a small scheme, saves it to a file, and serves
+// the file through New — the exact path the daemon takes at startup.
 func buildStatic(t *testing.T, cfg Config) (*Server, *compactroute.Network) {
 	t.Helper()
 	net := compactroute.RandomNetwork(7, 90, 0.07, compactroute.UniformWeights(1, 6))
-	s, err := compactroute.NewScheme(net, compactroute.Options{K: 2, Seed: 11, SFactor: 0.5})
+	s, err := compactroute.Build(net, compactroute.Config{Kind: compactroute.KindPaper, K: 2, Seed: 11, SFactor: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +33,8 @@ func buildStatic(t *testing.T, cfg Config) (*Server, *compactroute.Network) {
 	if err := compactroute.Save(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := compactroute.Load(&buf)
-	if err != nil {
+	cfg.Scheme = filepath.Join(t.TempDir(), "static.crsc")
+	if err := os.WriteFile(cfg.Scheme, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Logf = discardLogf
@@ -45,7 +44,10 @@ func buildStatic(t *testing.T, cfg Config) (*Server, *compactroute.Network) {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 1 << 10
 	}
-	srv := newStatic(loaded, cfg)
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(srv.Close)
 	return srv, net
 }
@@ -236,7 +238,7 @@ func TestServer503OnCanceledWait(t *testing.T) {
 func TestMetricOrderingUnreachableStaleness(t *testing.T) {
 	srv, net := buildStatic(t, Config{Metric: true, Workers: 2, CacheSize: 64})
 	if !srv.Scheme().Network().HasMetric() {
-		t.Fatal("newStatic(Metric) returned before the metric existed — stale cache entries are reachable")
+		t.Fatal("New(Metric) returned before the metric existed — stale cache entries are reachable")
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -319,7 +321,7 @@ func TestServeEveryRegistryKind(t *testing.T) {
 // as a file; garbage errors mentioning the registry.
 func TestNewSchemeFileFallback(t *testing.T) {
 	net := compactroute.RandomNetwork(3, 60, 0.1, compactroute.UniformWeights(1, 4))
-	s, err := compactroute.NewScheme(net, compactroute.Options{K: 2, Seed: 4, SFactor: 0.5})
+	s, err := compactroute.Build(net, compactroute.Config{Kind: compactroute.KindPaper, K: 2, Seed: 4, SFactor: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,11 @@
 // the graph and that routes terminate. A scheme that peeked at global
 // state could not cheat the cost accounting, and a scheme that emitted
 // an invalid port is caught immediately.
+//
+// Measure is the stretch sweep over the engine — every strided source
+// row routed against every destination, rows fanned across workers —
+// that the facade's MeasureStretch, the experiment runners, and
+// routesim -measure all share.
 package sim
 
 import (

@@ -77,7 +77,7 @@ func TestSaveLoadEveryPersistableKind(t *testing.T) {
 // (the codec package carries the family/property matrix).
 func TestSaveLoadQuick(t *testing.T) {
 	net := RandomNetwork(21, 80, 0.08, UniformWeights(1, 5))
-	s, err := NewScheme(net, Options{K: 2, Seed: 7, SFactor: 0.5})
+	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 7, SFactor: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPersistenceAcceptance2k(t *testing.T) {
 	}
 	const n = 2000
 	net := RandomNetwork(1, n, 8.0/n, UniformWeights(1, 8))
-	s, err := NewScheme(net, Options{K: 4, Seed: 1, SFactor: 0.25})
+	s, err := Build(net, Config{Kind: KindPaper, K: 4, Seed: 1, SFactor: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

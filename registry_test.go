@@ -62,6 +62,10 @@ func TestBuildUnknownKind(t *testing.T) {
 	}
 }
 
+// failingKind is the kind TestRegisterCustomKind registers for
+// failingRouter.
+const failingKind = "test-always-fails"
+
 // failingRouter is a scheme that always gives up: the vehicle for the
 // custom-registration and ErrNotDelivered tests.
 type failingRouter struct{}
@@ -84,7 +88,7 @@ func (failingRouter) MeanTableBits() float64     { return 1 }
 // by name like the built-ins, and Save refuses it with the typed
 // sentinel (registered kinds have no codec support).
 func TestRegisterCustomKind(t *testing.T) {
-	const kind = "test-always-fails"
+	const kind = failingKind
 	if _, dup := LookupKind(kind); !dup {
 		Register(kind, func(net *Network, cfg Config) (*Scheme, error) {
 			r := failingRouter{}

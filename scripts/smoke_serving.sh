@@ -7,7 +7,7 @@
 #     a clean exit.
 #  2. The registry flow: for EVERY scheme kind the registry lists,
 #     `routed -scheme <kind>` over a shared topology file must come up
-#     healthy, identify its kind on /healthz, and deliver a route.
+#     healthy, identify its kind on /v1/healthz, and deliver a route.
 #  3. The dynamic churn flow: graphgen emits a topology plus a
 #     mutation trace, routed serves the kind dynamically, and loadgen
 #     interleaves mutations and rebuilds with the replay; the daemon
@@ -49,7 +49,7 @@ go build -o "$tmp/routefront" ./cmd/routefront
 wait_healthy() {
 	ok=""
 	for _ in $(seq 1 100); do
-		if curl -sf "http://$addr/healthz" >/dev/null 2>&1; then
+		if curl -sf "http://$addr/v1/healthz" >/dev/null 2>&1; then
 			ok=1
 			break
 		fi
@@ -90,13 +90,13 @@ for kind in paper fulltable apcover landmark tz; do
 	pid=$!
 	wait_healthy
 
-	health=$(curl -sf "http://$addr/healthz")
+	health=$(curl -sf "http://$addr/v1/healthz")
 	case "$health" in
 	*"\"kind\":\"$kind\""*) ;;
 	*) echo "smoke: kind $kind healthz says: $health" >&2; exit 1 ;;
 	esac
 
-	body=$(curl -sf "http://$addr/route?src=$src&dst=$dst")
+	body=$(curl -sf "http://$addr/v1/route?src=$src&dst=$dst")
 	case "$body" in
 	*'"delivered":true'*) ;;
 	*) echo "smoke: kind $kind route answered: $body" >&2; exit 1 ;;
@@ -121,7 +121,7 @@ wait_healthy
 	-queries 2000 -concurrency 8 \
 	-mutations "$tmp/churn.mut" -mutate-every 40 -rebuild-every 20
 
-health=$(curl -sf "http://$addr/healthz")
+health=$(curl -sf "http://$addr/v1/healthz")
 case "$health" in
 *'"dynamic":true'*) ;;
 *) echo "smoke: churn healthz not dynamic: $health" >&2; exit 1 ;;
