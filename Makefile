@@ -75,7 +75,9 @@ bench:
 # Machine-readable experiment results (JSON Lines), the BENCH_*.json
 # perf-trajectory format. Written to the file first (a pipe through
 # tee would mask a routebench failure behind tee's exit status), then
-# shown and checked non-empty.
+# shown and checked non-empty. D2 is a gate instead: its quick run is
+# deterministic (the same bytes on every run and at any GOMAXPROCS),
+# so the regenerated table must equal the committed BENCH_D2.json.
 benchjson:
 	$(GO) run ./cmd/routebench -exp P1 -quick -json > BENCH_P1.json
 	@cat BENCH_P1.json
@@ -86,9 +88,10 @@ benchjson:
 	$(GO) run ./cmd/routebench -exp D1 -quick -json > BENCH_D1.json
 	@cat BENCH_D1.json
 	@test -s BENCH_D1.json || { echo "benchjson: empty BENCH_D1.json" >&2; exit 1; }
-	$(GO) run ./cmd/routebench -exp D2 -quick -json > BENCH_D2.json
-	@cat BENCH_D2.json
-	@test -s BENCH_D2.json || { echo "benchjson: empty BENCH_D2.json" >&2; exit 1; }
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/routebench -exp D2 -quick -json > $$tmp && cat $$tmp && cmp BENCH_D2.json $$tmp; \
+	st=$$?; rm -f $$tmp; \
+	[ $$st -eq 0 ] || { echo "benchjson: D2 did not reproduce the committed BENCH_D2.json" >&2; exit 1; }
 	$(GO) run ./cmd/routebench -exp S1 -quick -json > BENCH_S1.json
 	@cat BENCH_S1.json
 	@test -s BENCH_S1.json || { echo "benchjson: empty BENCH_S1.json" >&2; exit 1; }

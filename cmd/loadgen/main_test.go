@@ -36,13 +36,7 @@ func testDaemon(t *testing.T) (*compactroute.Scheme, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := serve.NewPool(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
-		res, err := loaded.RouteByNameCtx(ctx, src, dst)
-		if err != nil {
-			return serve.Result{}, err
-		}
-		return serve.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, nil
-	}), serve.Options{Workers: 4, CacheSize: 1 << 10})
+	pool := serve.NewPool(serve.RouterFunc(loaded.RouteByNameCtx), serve.Options{Workers: 4, CacheSize: 1 << 10})
 	ts := httptest.NewServer(routeMux(pool))
 	t.Cleanup(ts.Close)
 	return loaded, ts

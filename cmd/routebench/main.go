@@ -206,13 +206,7 @@ func loadAndQuery(path string, queries, workers, cacheSize int, seed uint64, pat
 			return score
 		}
 	}
-	pool := serve.NewPool(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
-		res, err := s.RouteByNameCtx(ctx, src, dst)
-		if err != nil {
-			return serve.Result{}, err
-		}
-		return serve.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, nil
-	}), serve.Options{Workers: workers, CacheSize: cacheSize})
+	pool := serve.NewPool(serve.RouterFunc(s.RouteByNameCtx), serve.Options{Workers: workers, CacheSize: cacheSize})
 
 	if queries < 1 {
 		return fmt.Errorf("routebench: -queries must be ≥ 1, got %d", queries)

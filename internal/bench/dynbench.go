@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"compactroute"
 	"compactroute/internal/dynamic"
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
@@ -53,12 +54,12 @@ func RunD1(ctx context.Context, w io.Writer, cfg Config) error {
 			}
 			// The swap pause is measured as production pays it: with a
 			// serving pool's cache purge registered as a swap hook.
-			pool := serve.NewPool(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
+			pool := serve.NewPool(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
 				res, err := top.Current().Route(ctx, kind, src, dst)
 				if err != nil {
-					return serve.Result{}, err
+					return compactroute.Result{}, err
 				}
-				return serve.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, nil
+				return compactroute.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, nil
 			}), serve.Options{CacheSize: 1 << 12})
 			top.Swapper().OnSwap(func(*dynamic.Version) { pool.Purge() })
 

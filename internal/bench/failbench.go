@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"compactroute"
 	"compactroute/internal/dynamic"
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
@@ -73,11 +74,11 @@ func RunD2(ctx context.Context, w io.Writer, cfg Config) error {
 				if count < 1 {
 					count = 1
 				}
-				_, fs, err := dynamic.GenerateFaultTrace(g, count, cfg.Seed+uint64(ki)*131, fk.profile)
+				trace, fs, err := dynamic.GenerateFaultTrace(g, count, cfg.Seed+uint64(ki)*131, fk.profile)
 				if err != nil {
 					return fmt.Errorf("D2: %s %s rate %g: %w", kind, fk.name, rate, err)
 				}
-				row, err := measureFaults(ctx, g, nn.apsp, s, fs, sStride, dStride)
+				row, err := measureFaults(ctx, g, nn.apsp, s, trace, fs, sStride, dStride)
 				if err != nil {
 					return fmt.Errorf("D2: %s %s rate %g: %w", kind, fk.name, rate, err)
 				}
@@ -126,19 +127,6 @@ func traceRoute(ctx context.Context, eng *sim.Engine, s sim.Router, g *graph.Gra
 	return res, names, nil
 }
 
-// pathClear reports whether no element of the named path is down.
-func pathClear(fs *dynamic.FaultSet, path []uint64) bool {
-	for i, nm := range path {
-		if fs.NodeDown(nm) {
-			return false
-		}
-		if i > 0 && fs.EdgeDown(path[i-1], nm) {
-			return false
-		}
-	}
-	return true
-}
-
 // degradedGraph builds the up-subgraph: every up node, every edge
 // whose pair and endpoints are all up. The generator keeps this
 // connected, so its distances are finite and the honest stretch
@@ -175,35 +163,31 @@ func degradedGraph(g *graph.Graph, fs *dynamic.FaultSet) (*graph.Graph, error) {
 func repairerOver(g *graph.Graph, s sim.Router, o serve.RepairOptions) *serve.Repairer {
 	t0 := time.Unix(0, 0)
 	o.Now = func() time.Time { return t0 }
-	return serve.NewRepairer(func(ctx context.Context, srcName, dstName uint64) (serve.Result, []uint64, error) {
+	return serve.NewRepairer(func(ctx context.Context, srcName, dstName uint64) (compactroute.Result, []uint64, error) {
 		src, ok := g.Lookup(srcName)
 		if !ok {
-			return serve.Result{}, nil, fmt.Errorf("D2: unknown source %d", srcName)
+			return compactroute.Result{}, nil, fmt.Errorf("D2: unknown source %d", srcName)
 		}
 		eng := sim.NewEngine(g)
 		eng.Trace = true
 		res, path, err := traceRoute(ctx, eng, s, g, src, dstName)
 		if err != nil {
-			return serve.Result{}, nil, err
+			return compactroute.Result{}, nil, err
 		}
-		return serve.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, path, nil
+		return compactroute.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, path, nil
 	}, o)
 }
 
 // measureFaults sweeps strided up-endpoint pairs and accumulates raw
-// and best-of-both delivery and stretch under the fault set.
-func measureFaults(ctx context.Context, g *graph.Graph, apsp []*sssp.Result, s sim.Router, fs *dynamic.FaultSet, sStride, dStride int) (*d2Row, error) {
+// and best-of-both delivery and stretch under the fault set fs, the
+// projection of the failure trace.
+func measureFaults(ctx context.Context, g *graph.Graph, apsp []*sssp.Result, s sim.Router, trace []dynamic.Mutation, fs *dynamic.FaultSet, sStride, dStride int) (*d2Row, error) {
 	deg, err := degradedGraph(g, fs)
 	if err != nil {
 		return nil, err
 	}
 	rep := repairerOver(g, s, serve.RepairOptions{BestOfBoth: true})
-	for _, e := range fs.DownEdges() {
-		rep.FailEdge(e[0], e[1])
-	}
-	for _, nm := range fs.DownNodes() {
-		rep.FailNode(nm)
-	}
+	rep.Observe(trace...)
 	eng := sim.NewEngine(g)
 	eng.Trace = true
 
@@ -249,7 +233,7 @@ func measureFaults(ctx context.Context, g *graph.Graph, apsp []*sssp.Result, s s
 			if err != nil {
 				return nil, err
 			}
-			if res.Delivered && pathClear(fs, path) {
+			if res.Delivered && !fs.Blocks(path) {
 				rawOK++
 				row.raw.Add(res.Cost / dDeg)
 			}
@@ -287,7 +271,7 @@ func measureFlap(ctx context.Context, g *graph.Graph, s sim.Router, seed uint64,
 	if count < 2 {
 		count = 2
 	}
-	_, fs, err := dynamic.GenerateFaultTrace(g, count, seed, dynamic.TraceProfile{FailEdge: 1})
+	trace, fs, err := dynamic.GenerateFaultTrace(g, count, seed, dynamic.TraceProfile{FailEdge: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -299,12 +283,9 @@ func measureFlap(ctx context.Context, g *graph.Graph, s sim.Router, seed uint64,
 	// flapped link only when every alternative does too.
 	damped := repairerOver(g, s, serve.RepairOptions{BestOfBoth: true, DampPenalty: 1e9, DampHalfLife: time.Hour})
 	undamped := repairerOver(g, s, serve.RepairOptions{BestOfBoth: true})
-	for e := range flapped {
-		damped.FailEdge(e[0], e[1])
-		damped.RecoverEdge(e[0], e[1])
-		undamped.FailEdge(e[0], e[1])
-		undamped.RecoverEdge(e[0], e[1])
-	}
+	flap := append(trace, fs.RecoveryMutations()...)
+	damped.Observe(flap...)
+	undamped.Observe(flap...)
 
 	crosses := func(path []uint64) bool {
 		for i := 1; i < len(path); i++ {

@@ -40,13 +40,7 @@ func RunO1(ctx context.Context, w io.Writer, cfg Config) error {
 	// Cache off: every query pays the full scheme walk, the path the
 	// per-hop instrumentation rides. One worker: the delta measured is
 	// per-query cost, not scheduler noise.
-	pool := serve.NewPool(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
-		res, err := s.RouteByNameCtx(ctx, src, dst)
-		if err != nil {
-			return serve.Result{}, err
-		}
-		return serve.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, nil
-	}), serve.Options{Workers: 1, CacheSize: -1})
+	pool := serve.NewPool(serve.RouterFunc(s.RouteByNameCtx), serve.Options{Workers: 1, CacheSize: -1})
 
 	// Deterministic query stream (splitmix64 over the seed).
 	names := make([]uint64, n)

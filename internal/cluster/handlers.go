@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 
@@ -76,14 +74,9 @@ func writeClusterError(w http.ResponseWriter, err error) {
 }
 
 func (c *Cluster) handleRoute(w http.ResponseWriter, r *http.Request) {
-	src, err := server.ParseName(r.URL.Query().Get("src"))
+	src, dst, err := server.ParsePair(r)
 	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "bad src: %v", err)
-		return
-	}
-	dst, err := server.ParseName(r.URL.Query().Get("dst"))
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "bad dst: %v", err)
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	res, err := c.RouteByName(r.Context(), src, dst)
@@ -98,14 +91,9 @@ func (c *Cluster) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Cluster) handleResolve(w http.ResponseWriter, r *http.Request) {
-	src, err := server.ParseName(r.URL.Query().Get("src"))
+	src, dst, err := server.ParsePair(r)
 	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "bad src: %v", err)
-		return
-	}
-	dst, err := server.ParseName(r.URL.Query().Get("dst"))
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "bad dst: %v", err)
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	res, err := c.Resolve(r.Context(), src, dst)
@@ -119,27 +107,9 @@ func (c *Cluster) handleResolve(w http.ResponseWriter, r *http.Request) {
 // handleMutate accepts the same body as a shard (one mutation object
 // or an array) and fans it out.
 func (c *Cluster) handleMutate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	muts, err := server.DecodeMutations(w, r)
 	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var muts []compactroute.Mutation
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
-		err = json.Unmarshal(body, &muts)
-	} else {
-		var m compactroute.Mutation
-		if err = json.Unmarshal(body, &m); err == nil {
-			muts = []compactroute.Mutation{m}
-		}
-	}
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "bad mutation body: %v", err)
-		return
-	}
-	if len(muts) == 0 {
-		server.HTTPError(w, http.StatusBadRequest, "no mutations in body")
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	reply, err := c.Mutate(r.Context(), muts...)

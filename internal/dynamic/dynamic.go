@@ -203,20 +203,18 @@ type Log struct {
 	muts  []Mutation
 	nodes map[uint64]bool   // live node names at the tip
 	edges map[[2]uint64]int // unordered pair -> parallel edge count
-	// The fault shadow at the tip: transient events change only these,
-	// never nodes/edges (removing a pair clears its down flag — the
-	// element is gone, not down).
-	downNodes map[uint64]bool
-	downEdges map[[2]uint64]bool
+	// faults is the fault shadow at the tip: transient events change
+	// only it, never nodes/edges (removing a pair clears its down flag
+	// — the element is gone, not down).
+	faults *FaultSet
 }
 
 // NewLog returns a log whose sequence 0 state is the base graph.
 func NewLog(base *graph.Graph) *Log {
 	l := &Log{
-		nodes:     make(map[uint64]bool, base.N()),
-		edges:     make(map[[2]uint64]int, base.M()),
-		downNodes: make(map[uint64]bool),
-		downEdges: make(map[[2]uint64]bool),
+		nodes:  make(map[uint64]bool, base.N()),
+		edges:  make(map[[2]uint64]int, base.M()),
+		faults: NewFaultSet(),
 	}
 	for u := graph.NodeID(0); int(u) < base.N(); u++ {
 		l.nodes[base.Name(u)] = true
@@ -258,13 +256,15 @@ func (l *Log) Append(ms ...Mutation) (last uint64, err error) {
 		if v, ok := ovDownNodes[name]; ok {
 			return v
 		}
-		return l.downNodes[name]
+		return l.faults.NodeDown(name)
 	}
+	// The pair's own flag, not FaultSet.EdgeDown: failing or
+	// recovering a pair at a down node is legal.
 	edgeDown := func(k [2]uint64) bool {
 		if v, ok := ovDownEdges[k]; ok {
 			return v
 		}
-		return l.downEdges[k]
+		return l.faults.edges[k]
 	}
 	for i, m := range ms {
 		fail := func(format string, args ...any) (uint64, error) {
@@ -369,16 +369,8 @@ func (l *Log) Append(ms ...Mutation) (last uint64, err error) {
 			l.edges[pairKey(m.U, m.V)]++
 		case OpRemoveEdge:
 			delete(l.edges, pairKey(m.U, m.V))
-			delete(l.downEdges, pairKey(m.U, m.V))
-		case OpFailEdge:
-			l.downEdges[pairKey(m.U, m.V)] = true
-		case OpRecoverEdge:
-			delete(l.downEdges, pairKey(m.U, m.V))
-		case OpFailNode:
-			l.downNodes[m.Name] = true
-		case OpRecoverNode:
-			delete(l.downNodes, m.Name)
 		}
+		l.faults.Observe(m)
 		l.muts = append(l.muts, m)
 	}
 	return uint64(len(l.muts)), nil

@@ -13,10 +13,13 @@ import (
 // the serving-side companion of the OpFail*/OpRecover* events — the
 // permanent topology (Replay, rebuilds) never reflects failures, so a
 // layer that wants to route around them keeps a FaultSet alongside the
-// graph and consults it per element (serve.Repairer does exactly that).
+// graph and consults it per element. It is the one place the
+// projection rule and the blocking rule live: the Log's fault shadow,
+// the repair layer (serve.Repairer) and the trace generators all hold
+// one.
 //
 // A FaultSet is not safe for concurrent use; holders synchronize
-// externally (the Repairer keeps its own copy under its lock).
+// externally (the Repairer keeps its own under its lock).
 type FaultSet struct {
 	nodes map[uint64]bool
 	edges map[[2]uint64]bool
@@ -65,6 +68,18 @@ func (f *FaultSet) NodeDown(name uint64) bool { return f.nodes[name] }
 // every edge at it down with it.
 func (f *FaultSet) EdgeDown(u, v uint64) bool {
 	return f.edges[pairKey(u, v)] || f.nodes[u] || f.nodes[v]
+}
+
+// Blocks reports whether a walk along path (node names, in order)
+// crosses a down element: a down node anywhere on it, or a down pair
+// between consecutive nodes.
+func (f *FaultSet) Blocks(path []uint64) bool {
+	for i, n := range path {
+		if f.nodes[n] || i > 0 && f.edges[pairKey(path[i-1], n)] {
+			return true
+		}
+	}
+	return false
 }
 
 // Quiescent reports that nothing is down.
@@ -200,7 +215,15 @@ func GenerateFaultTrace(base *graph.Graph, k int, seed uint64, p TraceProfile) (
 		// Recover-only would spin forever with nothing to recover.
 		return nil, nil, fmt.Errorf("dynamic: GenerateFaultTrace: profile needs a positive non-Recover weight")
 	}
-	rng := xrand.New(seed ^ 0xfa17_c0de_d00d_f00d)
+	return generate(base, k, seed^0xfa17_c0de_d00d_f00d, 0xFA17_0000_0000_0000+seed<<16, p)
+}
+
+// generate is the one trace generator behind GenerateTrace and
+// GenerateFaultTrace. Each entry point brings its own RNG seed and
+// name base for joined nodes, so their traces never collide.
+func generate(base *graph.Graph, k int, rngSeed, nextName uint64, p TraceProfile) ([]Mutation, *FaultSet, error) {
+	total := p.total()
+	rng := xrand.New(rngSeed)
 	cur := base
 	fs := NewFaultSet()
 	wlo, whi := base.MinEdgeWeight(), base.MaxEdgeWeight()
@@ -249,7 +272,6 @@ func GenerateFaultTrace(base *graph.Graph, k int, seed uint64, p TraceProfile) (
 		return ok
 	}
 
-	nextName := uint64(0xFA17_0000_0000_0000) + seed<<16
 	stuck := 0
 	for len(muts) < k {
 		n0 := len(muts)
@@ -370,7 +392,7 @@ func GenerateFaultTrace(base *graph.Graph, k int, seed uint64, p TraceProfile) (
 		// retry loops; fail loudly instead.
 		if len(muts) == n0 {
 			if stuck++; stuck > 1000 {
-				return nil, nil, fmt.Errorf("dynamic: GenerateFaultTrace: no admissible mutation after %d attempts (profile %+v)", stuck, p)
+				return nil, nil, fmt.Errorf("dynamic: generating trace: no admissible mutation after %d attempts (profile %+v)", stuck, p)
 			}
 		} else {
 			stuck = 0

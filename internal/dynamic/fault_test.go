@@ -49,6 +49,35 @@ func TestFaultSetProjection(t *testing.T) {
 	}
 }
 
+// TestFaultSetBlocks pins the one blocking rule every fault-view holder
+// reads: a walk is blocked by a down node anywhere on it, or by a down
+// pair between consecutive nodes, in either orientation.
+func TestFaultSetBlocks(t *testing.T) {
+	fs := NewFaultSet()
+	fs.Observe(Mutation{Op: OpFailEdge, U: 3, V: 1})
+	fs.Observe(Mutation{Op: OpFailNode, Name: 7})
+	cases := []struct {
+		name string
+		path []uint64
+		want bool
+	}{
+		{"down pair, failed orientation", []uint64{4, 3, 1, 2}, true},
+		{"down pair, reverse orientation", []uint64{2, 1, 3}, true},
+		{"down interior node", []uint64{1, 7, 2}, true},
+		{"down source", []uint64{7, 2}, true},
+		{"down destination", []uint64{2, 7}, true},
+		{"down endpoints, not adjacent on the path", []uint64{1, 2, 3}, false},
+		{"one-node path", []uint64{1}, false},
+		{"one-node path at a down node", []uint64{7}, true},
+		{"empty path", nil, false},
+	}
+	for _, c := range cases {
+		if got := fs.Blocks(c.path); got != c.want {
+			t.Errorf("%s: Blocks(%v) = %v, want %v", c.name, c.path, got, c.want)
+		}
+	}
+}
+
 func TestLogValidatesFaultSequencing(t *testing.T) {
 	g := testGraph(t, 48, 9)
 	u, v := g.Name(0), firstNeighborName(g, 0)
@@ -93,6 +122,18 @@ func TestLogValidatesFaultSequencing(t *testing.T) {
 	}
 	if _, err := l.Append(Mutation{Op: OpRecoverNode, Name: w}); err == nil {
 		t.Error("fault shadow leaked from a rejected batch")
+	}
+	// Pair events read the pair's own flag, not the node view: a pair
+	// at a down node fails and recovers like any other.
+	x := firstNeighborName(g, 7)
+	if _, err := l.Append(Mutation{Op: OpFailNode, Name: w}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(Mutation{Op: OpFailEdge, U: w, V: x}); err != nil {
+		t.Fatalf("fail of a pair at a down node: %v", err)
+	}
+	if _, err := l.Append(Mutation{Op: OpRecoverEdge, U: x, V: w}); err != nil {
+		t.Fatalf("recover of a pair at a down node: %v", err)
 	}
 }
 

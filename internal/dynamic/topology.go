@@ -43,7 +43,6 @@ type Version struct {
 
 	graph   *graph.Graph
 	engine  *sim.Engine
-	traced  *sim.Engine // Trace=true twin of engine, for RoutePath
 	schemes map[string]schemes.Scheme
 }
 
@@ -79,31 +78,6 @@ func (v *Version) Route(ctx context.Context, kind string, srcName, dstName uint6
 		return sim.Result{}, fmt.Errorf("dynamic: version %d: source name %#x: %w", v.ID, srcName, routeerr.ErrUnknownName)
 	}
 	return v.engine.RouteCtx(ctx, s, src, dstName)
-}
-
-// RoutePath is Route with the traversed path returned as external
-// names (src first). It runs on a tracing twin of the version's engine
-// — the untraced Route stays allocation-lean — and exists for layers
-// that must inspect the walk, like the fault-overlay check in
-// serve.Repairer: a path is usable only if no element of it is down.
-func (v *Version) RoutePath(ctx context.Context, kind string, srcName, dstName uint64) (sim.Result, []uint64, error) {
-	s, ok := v.schemes[kind]
-	if !ok {
-		return sim.Result{}, nil, fmt.Errorf("dynamic: version %d: %w %q", v.ID, routeerr.ErrUnknownKind, kind)
-	}
-	src, ok := v.graph.Lookup(srcName)
-	if !ok {
-		return sim.Result{}, nil, fmt.Errorf("dynamic: version %d: source name %#x: %w", v.ID, srcName, routeerr.ErrUnknownName)
-	}
-	res, err := v.traced.RouteCtx(ctx, s, src, dstName)
-	if err != nil {
-		return res, nil, err
-	}
-	names := make([]uint64, len(res.Path))
-	for i, id := range res.Path {
-		names[i] = v.graph.Name(id)
-	}
-	return res, names, nil
 }
 
 // TopologyOptions configures NewTopology.
@@ -178,10 +152,8 @@ func (t *Topology) build(ctx context.Context, g *graph.Graph, id, parent, mutFro
 		MutTo:   mutTo,
 		graph:   g,
 		engine:  sim.NewEngine(g),
-		traced:  sim.NewEngine(g),
 		schemes: make(map[string]schemes.Scheme, len(t.opts.Configs)),
 	}
-	v.traced.Trace = true
 	t0 := time.Now()
 	for _, cfg := range t.opts.Configs {
 		s, err := schemes.BuildStream(ctx, g, sssp.Streamed(g, t.opts.Workers), cfg)

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"compactroute/internal/graph"
-	"compactroute/internal/xrand"
 )
 
 // Mutation trace files are line-oriented text, one mutation per line
@@ -259,87 +258,7 @@ func (m *Mutation) UnmarshalJSON(data []byte) error {
 // routable). Generation replays its own mutations as it goes, so
 // validity is checked against the evolving topology, not the base.
 func GenerateTrace(base *graph.Graph, k int, seed uint64) ([]Mutation, error) {
-	rng := xrand.New(seed ^ 0xd1a2b3c4d5e6f708)
-	cur := base
-	wlo, whi := base.MinEdgeWeight(), base.MaxEdgeWeight()
-	if !(whi > wlo) {
-		whi = wlo + 1
-	}
-	weight := func() float64 { return wlo + rng.Float64()*(whi-wlo) }
-
-	var muts []Mutation
-	step := func(ms ...Mutation) error {
-		g, err := Replay(cur, ms)
-		if err != nil {
-			return err
-		}
-		cur = g
-		muts = append(muts, ms...)
-		return nil
-	}
-	randomEdge := func() (u, v graph.NodeID) {
-		// Uniform over undirected edges via a uniform CSR slot.
-		for {
-			x := graph.NodeID(rng.Intn(cur.N()))
-			deg := cur.Degree(x)
-			if deg == 0 {
-				continue
-			}
-			e := cur.EdgeAt(x, rng.Intn(deg))
-			return x, e.To
-		}
-	}
-	nextName := uint64(0xD15C0000_00000000) + seed<<16
-	for len(muts) < k {
-		switch roll := rng.Intn(100); {
-		case roll < 45: // set-weight on a random edge
-			u, v := randomEdge()
-			if err := step(Mutation{Op: OpSetWeight, U: cur.Name(u), V: cur.Name(v), W: weight()}); err != nil {
-				return nil, err
-			}
-		case roll < 70: // add an edge between a non-adjacent pair
-			added := false
-			for try := 0; try < 16 && !added; try++ {
-				u := graph.NodeID(rng.Intn(cur.N()))
-				v := graph.NodeID(rng.Intn(cur.N()))
-				if u == v || cur.Adjacent(u, v) {
-					continue
-				}
-				if err := step(Mutation{Op: OpAddEdge, U: cur.Name(u), V: cur.Name(v), W: weight()}); err != nil {
-					return nil, err
-				}
-				added = true
-			}
-		case roll < 85: // remove an edge, but never cut the graph
-			removed := false
-			for try := 0; try < 16 && !removed; try++ {
-				u, v := randomEdge()
-				m := Mutation{Op: OpRemoveEdge, U: cur.Name(u), V: cur.Name(v)}
-				g, err := Replay(cur, []Mutation{m})
-				if err != nil {
-					return nil, err
-				}
-				if !g.Connected() {
-					continue
-				}
-				cur = g
-				muts = append(muts, m)
-				removed = true
-			}
-		default: // node join: fresh name, anchored so it is routable
-			for {
-				if _, taken := cur.Lookup(nextName); !taken {
-					break
-				}
-				nextName++
-			}
-			anchor := graph.NodeID(rng.Intn(cur.N()))
-			join := Mutation{Op: OpAddNode, Name: nextName, V: cur.Name(anchor), W: weight()}
-			if err := step(join); err != nil {
-				return nil, err
-			}
-			nextName++
-		}
-	}
-	return muts[:k], nil
+	churn := TraceProfile{SetWeight: 45, AddEdge: 25, RemoveEdge: 15, AddNode: 15}
+	muts, _, err := generate(base, k, seed^0xd1a2b3c4d5e6f708, 0xD15C0000_00000000+seed<<16, churn)
+	return muts, err
 }

@@ -119,8 +119,11 @@ func escapeLabel(s string) string {
 }
 
 // StretchBounds are the fixed upper bounds of the per-kind stretch
-// histogram. Stretch is ≥ 1 by construction, and every scheme in the
-// registry guarantees ≤ 2k-1, so the tail stops at 8.
+// histogram. Stretch is ≥ 1 by construction, but the kinds' proven
+// bounds differ and most exceed the last bucket: fulltable is 1,
+// paper is c·k (the core tests pin 14k), apcover is linear in k, tz
+// is 4k−3 and landmark has no worst-case bound. A served stretch
+// above 8 lands in +Inf, whatever its kind's bound.
 var StretchBounds = []float64{1.0, 1.05, 1.1, 1.25, 1.5, 2, 3, 5, 8}
 
 // Hist is a fixed-bound cumulative histogram. Counts are monotonic

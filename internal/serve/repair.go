@@ -8,6 +8,8 @@ import (
 	"sync"
 	"time"
 
+	"compactroute"
+	"compactroute/internal/dynamic"
 	"compactroute/internal/obs"
 	"compactroute/internal/routeerr"
 )
@@ -20,8 +22,9 @@ var ErrUnreachable = routeerr.ErrUnreachable
 // RoutePathFunc is the traced counterpart of RouterFunc: it returns
 // the traversed path as external names (source first) alongside the
 // result, so the repair layer can hold the walk against the fault
-// overlay. The dynamic tier's Version.RoutePath has exactly this shape.
-type RoutePathFunc func(ctx context.Context, srcName, dstName uint64) (Result, []uint64, error)
+// overlay. The facade's Dynamic.RoutePathByNameCtx has this shape once
+// its kind is bound.
+type RoutePathFunc func(ctx context.Context, srcName, dstName uint64) (compactroute.Result, []uint64, error)
 
 // RepairOptions configures a Repairer. The zero value is a pure
 // fault-view enforcer: no best-of-both, no damping, routes checked
@@ -59,20 +62,19 @@ type dampKey [2]uint64
 // flap-damping table that penalizes recently failed elements for a
 // decaying window. It is safe for concurrent use.
 //
-// The fault view is fed by the mutation path (internal/server fans
-// accepted failure events in); because faults change what a query
-// answers, the owner must Purge any result cache above this layer
-// whenever the view changes — a cached "delivered" from before a
-// failure is exactly the stale answer the repair layer exists to
-// prevent.
+// The fault view is a dynamic.FaultSet fed by the mutation path
+// through Observe (internal/server passes every accepted batch in);
+// because faults change what a query answers, the owner must Purge any
+// result cache above this layer whenever Observe reports a change — a
+// cached "delivered" from before a failure is exactly the stale answer
+// the repair layer exists to prevent.
 type Repairer struct {
 	route RoutePathFunc
 	opts  RepairOptions
 
-	mu        sync.RWMutex
-	downNodes map[uint64]bool
-	downEdges map[[2]uint64]bool
-	damp      map[dampKey]time.Time // element -> last failure time
+	mu     sync.RWMutex
+	faults *dynamic.FaultSet
+	damp   map[dampKey]time.Time // element -> last failure time
 }
 
 // NewRepairer wraps route with the repair layer.
@@ -84,11 +86,10 @@ func NewRepairer(route RoutePathFunc, o RepairOptions) *Repairer {
 		o.Now = time.Now
 	}
 	return &Repairer{
-		route:     route,
-		opts:      o,
-		downNodes: make(map[uint64]bool),
-		downEdges: make(map[[2]uint64]bool),
-		damp:      make(map[dampKey]time.Time),
+		route:  route,
+		opts:   o,
+		faults: dynamic.NewFaultSet(),
+		damp:   make(map[dampKey]time.Time),
 	}
 }
 
@@ -99,53 +100,32 @@ func pairKey(u, v uint64) [2]uint64 {
 	return [2]uint64{u, v}
 }
 
-// FailEdge marks the unordered pair down and stamps its damp entry.
-func (r *Repairer) FailEdge(u, v uint64) {
-	k := pairKey(u, v)
+// Observe projects accepted mutations onto the fault view and
+// reports whether it changed, i.e. whether a cached answer above this
+// layer may now be stale. Damping follows the same events: a failure
+// stamps its element, a recovery keeps the stamp (distrusting a link
+// that just flapped is the whole point of damping), and a permanent
+// removal clears the pair's stamp — the element is gone, not down,
+// and a later re-add starts life up and undamped.
+func (r *Repairer) Observe(ms ...dynamic.Mutation) bool {
 	now := r.opts.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.downEdges[k] = true
-	r.stampLocked(dampKey(k), now)
-}
-
-// RecoverEdge brings the pair back up. Its damp entry survives —
-// distrusting a link that just flapped is the whole point of damping.
-func (r *Repairer) RecoverEdge(u, v uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.downEdges, pairKey(u, v))
-}
-
-// FailNode marks the node down and stamps its damp entry.
-func (r *Repairer) FailNode(name uint64) {
-	now := r.opts.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.downNodes[name] = true
-	r.stampLocked(dampKey{name, name}, now)
-}
-
-// RecoverNode brings the node back up (damp entry survives).
-func (r *Repairer) RecoverNode(name uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.downNodes, name)
-}
-
-// DropEdge clears the pair's fault state on permanent removal: the
-// element is gone, not down, and a later re-add starts life up (and
-// undamped — a fresh link is not the one that flapped). It reports
-// whether the pair was down, i.e. whether the removal changed what a
-// query would answer beyond the eventual rebuild.
-func (r *Repairer) DropEdge(u, v uint64) bool {
-	k := pairKey(u, v)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	wasDown := r.downEdges[k]
-	delete(r.downEdges, k)
-	delete(r.damp, dampKey(k))
-	return wasDown
+	changed := false
+	for _, m := range ms {
+		if r.faults.Observe(m) {
+			changed = true
+		}
+		switch m.Op {
+		case dynamic.OpFailEdge:
+			r.stampLocked(dampKey(pairKey(m.U, m.V)), now)
+		case dynamic.OpFailNode:
+			r.stampLocked(dampKey{m.Name, m.Name}, now)
+		case dynamic.OpRemoveEdge:
+			delete(r.damp, dampKey(pairKey(m.U, m.V)))
+		}
+	}
+	return changed
 }
 
 // stampLocked records a failure instant and opportunistically sweeps
@@ -174,12 +154,12 @@ type FaultStats struct {
 func (r *Repairer) Stats() FaultStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return FaultStats{DownNodes: len(r.downNodes), DownEdges: len(r.downEdges), Damped: len(r.damp)}
+	return FaultStats{DownNodes: len(r.faults.DownNodes()), DownEdges: len(r.faults.DownEdges()), Damped: len(r.damp)}
 }
 
 // leg is one direction's outcome.
 type leg struct {
-	res  Result
+	res  compactroute.Result
 	path []uint64
 	err  error
 }
@@ -193,7 +173,7 @@ type leg struct {
 // query nothing delivered for on clear paths passes through unchanged
 // — an unknown destination is still the name-independent model's
 // honest non-delivery, not an outage.
-func (r *Repairer) RouteByName(ctx context.Context, srcName, dstName uint64) (Result, error) {
+func (r *Repairer) RouteByName(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error) {
 	res, _, err := r.RoutePathByName(ctx, srcName, dstName)
 	return res, err
 }
@@ -201,7 +181,7 @@ func (r *Repairer) RouteByName(ctx context.Context, srcName, dstName uint64) (Re
 // RoutePathByName is RouteByName plus the served walk (external names,
 // source first) — nil when nothing was served. The path lets callers
 // (experiments, tests) see WHICH direction won and what it crossed.
-func (r *Repairer) RoutePathByName(ctx context.Context, srcName, dstName uint64) (Result, []uint64, error) {
+func (r *Repairer) RoutePathByName(ctx context.Context, srcName, dstName uint64) (compactroute.Result, []uint64, error) {
 	var rev chan leg
 	if r.opts.BestOfBoth && srcName != dstName {
 		rev = make(chan leg, 1)
@@ -238,11 +218,11 @@ func (r *Repairer) RoutePathByName(ctx context.Context, srcName, dstName uint64)
 // the chosen route it reports which leg won (-1: none) and how many
 // delivered legs the overlay blocked, so the caller can record the
 // repair verdict in the request trace.
-func (r *Repairer) choose(srcName, dstName uint64, legs []leg) (Result, []uint64, int, int, error) {
+func (r *Repairer) choose(srcName, dstName uint64, legs []leg) (compactroute.Result, []uint64, int, int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.downNodes[srcName] || r.downNodes[dstName] {
-		return Result{}, nil, -1, 0, fmt.Errorf("serve: %d→%d: endpoint down: %w", srcName, dstName, ErrUnreachable)
+	if r.faults.NodeDown(srcName) || r.faults.NodeDown(dstName) {
+		return compactroute.Result{}, nil, -1, 0, fmt.Errorf("serve: %d→%d: endpoint down: %w", srcName, dstName, ErrUnreachable)
 	}
 	now := r.opts.Now()
 	best := -1
@@ -252,7 +232,7 @@ func (r *Repairer) choose(srcName, dstName uint64, legs []leg) (Result, []uint64
 		if l.err != nil || !l.res.Delivered {
 			continue
 		}
-		if r.blockedLocked(l.path) {
+		if r.faults.Blocks(l.path) {
 			blocked++
 			continue
 		}
@@ -264,26 +244,12 @@ func (r *Repairer) choose(srcName, dstName uint64, legs []leg) (Result, []uint64
 		return legs[best].res, legs[best].path, best, blocked, nil
 	}
 	if blocked > 0 {
-		return Result{}, nil, -1, blocked, fmt.Errorf("serve: %d→%d: every delivered path crosses a down element: %w", srcName, dstName, ErrUnreachable)
+		return compactroute.Result{}, nil, -1, blocked, fmt.Errorf("serve: %d→%d: every delivered path crosses a down element: %w", srcName, dstName, ErrUnreachable)
 	}
 	// Nothing usable and nothing blocked: pass the forward outcome
 	// through — scheme-level non-delivery and routing errors keep
 	// their own taxonomy.
 	return legs[0].res, legs[0].path, -1, 0, legs[0].err
-}
-
-// blockedLocked reports whether any element of the path is down.
-// Caller holds r.mu (read).
-func (r *Repairer) blockedLocked(path []uint64) bool {
-	for i, n := range path {
-		if r.downNodes[n] {
-			return true
-		}
-		if i > 0 && r.downEdges[pairKey(path[i-1], n)] {
-			return true
-		}
-	}
-	return false
 }
 
 // penaltyLocked sums the decayed damping penalty over the path's

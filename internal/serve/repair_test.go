@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"compactroute"
 )
 
 // pathRouter is a fixed table of directional paths with unit-ish
@@ -37,15 +39,15 @@ func (p *pathRouter) set(src, dst uint64, cost float64, path ...uint64) {
 	}{path, cost}
 }
 
-func (p *pathRouter) route(ctx context.Context, src, dst uint64) (Result, []uint64, error) {
+func (p *pathRouter) route(ctx context.Context, src, dst uint64) (compactroute.Result, []uint64, error) {
 	p.mu.Lock()
 	p.calls[[2]uint64{src, dst}]++
 	p.mu.Unlock()
 	e, ok := p.paths[[2]uint64{src, dst}]
 	if !ok {
-		return Result{}, nil, nil // honest non-delivery
+		return compactroute.Result{}, nil, nil // honest non-delivery
 	}
-	return Result{Delivered: true, Cost: e.cost, Hops: len(e.path) - 1}, e.path, nil
+	return compactroute.Result{Delivered: true, Cost: e.cost, Hops: len(e.path) - 1}, e.path, nil
 }
 
 func (p *pathRouter) callCount(src, dst uint64) int {
@@ -78,34 +80,35 @@ func TestRepairerBlocksDownElements(t *testing.T) {
 	pr.set(1, 2, 5, 1, 3, 2)
 	r := NewRepairer(pr.route, RepairOptions{})
 
-	r.FailEdge(3, 1) // orientation must not matter
+	r.Observe(compactroute.MutFailEdge(3, 1)) // orientation must not matter
 	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("down edge on path: err = %v", err)
 	}
-	r.RecoverEdge(1, 3)
+	r.Observe(compactroute.MutRecoverEdge(1, 3))
 	if _, err := r.RouteByName(context.Background(), 1, 2); err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
 
-	r.FailNode(3) // interior node down
+	r.Observe(compactroute.MutFailNode(3)) // interior node down
 	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("down interior node: err = %v", err)
 	}
-	r.RecoverNode(3)
+	r.Observe(compactroute.MutRecoverNode(3))
 
-	r.FailNode(2) // endpoint down: unreachable without any walk
+	r.Observe(compactroute.MutFailNode(2)) // endpoint down: unreachable without any walk
 	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("down endpoint: err = %v", err)
 	}
-	r.RecoverNode(2)
+	r.Observe(compactroute.MutRecoverNode(2))
 
-	// DropEdge clears fault state: a removed-then-readded link is up.
-	r.FailEdge(1, 3)
-	if !r.DropEdge(1, 3) {
-		t.Fatal("DropEdge of a down pair reported no change")
+	// A permanent removal clears fault state: a removed-then-readded
+	// link is up.
+	r.Observe(compactroute.MutFailEdge(1, 3))
+	if !r.Observe(compactroute.MutRemoveEdge(1, 3)) {
+		t.Fatal("removing a down pair reported no change")
 	}
-	if r.DropEdge(1, 3) {
-		t.Fatal("DropEdge of an up pair reported a change")
+	if r.Observe(compactroute.MutRemoveEdge(1, 3)) {
+		t.Fatal("removing an up pair reported a change")
 	}
 	if _, err := r.RouteByName(context.Background(), 1, 2); err != nil {
 		t.Fatalf("after drop: %v", err)
@@ -127,17 +130,17 @@ func TestRepairerBestOfBothServesCheaperClearDirection(t *testing.T) {
 	}
 
 	// Forward blocked, reverse clear: the reverse rescues the query.
-	r.FailNode(3)
+	r.Observe(compactroute.MutFailNode(3))
 	if res, _, err = r.RoutePathByName(context.Background(), 1, 2); err != nil || res.Cost != 7 {
 		t.Fatalf("reverse rescue: %+v, %v", res, err)
 	}
 	// Both blocked: unreachable.
-	r.FailNode(4)
+	r.Observe(compactroute.MutFailNode(4))
 	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("both directions blocked: err = %v", err)
 	}
-	r.RecoverNode(3)
-	r.RecoverNode(4)
+	r.Observe(compactroute.MutRecoverNode(3))
+	r.Observe(compactroute.MutRecoverNode(4))
 
 	// Equal effective cost ties to forward (determinism).
 	pr2 := newPathRouter()
@@ -177,8 +180,8 @@ func TestRepairerFlapDampingDecays(t *testing.T) {
 
 	// Flap the forward link: fail + recover. It is up again — but
 	// damped, so the clean reverse direction wins (10+8 > 12).
-	r.FailEdge(1, 3)
-	r.RecoverEdge(1, 3)
+	r.Observe(compactroute.MutFailEdge(1, 3))
+	r.Observe(compactroute.MutRecoverEdge(1, 3))
 	if st := r.Stats(); st.DownEdges != 0 || st.Damped != 1 {
 		t.Fatalf("after flap: %+v", st)
 	}
@@ -195,7 +198,7 @@ func TestRepairerFlapDampingDecays(t *testing.T) {
 	}
 	// Decayed entries are swept on the next stamp (10 half-lives).
 	advance(100 * 10 * time.Second)
-	r.FailNode(9)
+	r.Observe(compactroute.MutFailNode(9))
 	if st := r.Stats(); st.Damped != 1 {
 		t.Fatalf("stale damp entries not swept: %+v", st)
 	}
@@ -203,10 +206,51 @@ func TestRepairerFlapDampingDecays(t *testing.T) {
 
 func TestRepairerErrorPassThrough(t *testing.T) {
 	boom := errors.New("boom")
-	r := NewRepairer(func(ctx context.Context, src, dst uint64) (Result, []uint64, error) {
-		return Result{}, nil, fmt.Errorf("route %d→%d: %w", src, dst, boom)
+	r := NewRepairer(func(ctx context.Context, src, dst uint64) (compactroute.Result, []uint64, error) {
+		return compactroute.Result{}, nil, fmt.Errorf("route %d→%d: %w", src, dst, boom)
 	}, RepairOptions{BestOfBoth: true})
 	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, boom) {
 		t.Fatalf("routing error rewritten: %v", err)
+	}
+}
+
+// TestRepairerObserve pins what one batch of accepted mutations does to
+// the repair layer: whether Observe reports a change (the owner purges
+// its cache on it), and what stays down and damped afterwards.
+func TestRepairerObserve(t *testing.T) {
+	r := NewRepairer(newPathRouter().route, RepairOptions{DampPenalty: 1})
+	steps := []struct {
+		name    string
+		ms      []compactroute.Mutation
+		changed bool
+		want    FaultStats
+	}{
+		{"permanent churn", []compactroute.Mutation{
+			compactroute.MutSetWeight(1, 2, 3),
+			compactroute.MutAddEdge(1, 4, 2),
+			compactroute.MutAddNode(9, 1, 1),
+		}, false, FaultStats{}},
+		{"remove an up pair", []compactroute.Mutation{compactroute.MutRemoveEdge(1, 4)}, false, FaultStats{}},
+		{"fail edge stamps", []compactroute.Mutation{compactroute.MutFailEdge(1, 2)}, true, FaultStats{DownEdges: 1, Damped: 1}},
+		{"recover edge keeps the stamp", []compactroute.Mutation{compactroute.MutRecoverEdge(2, 1)}, true, FaultStats{Damped: 1}},
+		{"remove a damped up pair clears the stamp", []compactroute.Mutation{compactroute.MutRemoveEdge(1, 2)}, false, FaultStats{}},
+		{"fail node stamps", []compactroute.Mutation{compactroute.MutFailNode(3)}, true, FaultStats{DownNodes: 1, Damped: 1}},
+		{"recover node keeps the stamp", []compactroute.Mutation{compactroute.MutRecoverNode(3)}, true, FaultStats{Damped: 1}},
+		{"remove a down pair", []compactroute.Mutation{
+			compactroute.MutFailEdge(5, 6),
+			compactroute.MutRemoveEdge(6, 5),
+		}, true, FaultStats{Damped: 1}},
+		{"one transient op in a churn batch", []compactroute.Mutation{
+			compactroute.MutSetWeight(1, 2, 4),
+			compactroute.MutFailNode(7),
+		}, true, FaultStats{DownNodes: 1, Damped: 2}},
+	}
+	for _, st := range steps {
+		if got := r.Observe(st.ms...); got != st.changed {
+			t.Errorf("%s: Observe reported change %v, want %v", st.name, got, st.changed)
+		}
+		if got := r.Stats(); got != st.want {
+			t.Errorf("%s: stats %+v, want %+v", st.name, got, st.want)
+		}
 	}
 }

@@ -16,15 +16,17 @@
 // Shards keep the cache's lock fine-grained under the -race detector
 // and real contention alike.
 //
-// Staleness invariant: a cached Result snapshots ShortestCost (and
-// MetricKnown) at computation time. A scheme served before its network
-// has a metric (compactroute.Load without EnsureMetric) caches
-// MetricKnown = false, and those entries are never refreshed — the
-// cache trusts the scheme to be immutable. A daemon that wants true
-// stretch in responses must therefore ensure the metric BEFORE the
-// first query is admitted (cmd/routed computes it between Load and
-// pool construction); calling EnsureMetric on a warm pool leaves every
-// already-cached pair stale.
+// The cached result is the facade's compactroute.Result, exactly as
+// the Router returned it: one answer type from the scheme walk to the
+// HTTP handler. Staleness invariant: a cached result snapshots
+// ShortestCost (and MetricKnown) at computation time. A scheme served
+// before its network has a metric (compactroute.Load without
+// EnsureMetric) caches MetricKnown = false, and those entries are
+// never refreshed — the cache trusts the scheme to be immutable. A
+// daemon that wants true stretch in responses must therefore ensure
+// the metric BEFORE the first query is admitted (cmd/routed computes
+// it between Load and pool construction); calling EnsureMetric on a
+// warm pool leaves every already-cached pair stale.
 //
 // The one sanctioned way to serve a scheme that DOES change is to
 // swap in a new immutable scheme and call Purge in the same breath:
@@ -43,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"compactroute"
 	"compactroute/internal/obs"
 	"compactroute/internal/routeerr"
 )
@@ -57,31 +60,15 @@ var ErrSaturated = routeerr.ErrSaturated
 // RouteByNameCtx shape. The context is the caller's — the pool hands
 // it through so a canceled request aborts its route mid-walk.
 type Router interface {
-	RouteByName(ctx context.Context, srcName, dstName uint64) (Result, error)
+	RouteByName(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error)
 }
 
 // RouterFunc adapts a function to the Router interface.
-type RouterFunc func(ctx context.Context, srcName, dstName uint64) (Result, error)
+type RouterFunc func(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error)
 
 // RouteByName implements Router.
-func (f RouterFunc) RouteByName(ctx context.Context, srcName, dstName uint64) (Result, error) {
+func (f RouterFunc) RouteByName(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error) {
 	return f(ctx, srcName, dstName)
-}
-
-// Result is the cached routing outcome. It mirrors the facade's Result
-// fields that are deterministic for a fixed scheme (stretch-related
-// fields are meaningful only when MetricKnown — see the staleness
-// invariant in the package comment).
-type Result struct {
-	Delivered    bool
-	Cost         float64
-	Hops         int
-	HeaderBits   int64
-	ShortestCost float64
-	// MetricKnown marks ShortestCost as real: the scheme's network had
-	// its metric when this result was computed. A false value means
-	// "unknown", never "zero distance".
-	MetricKnown bool
 }
 
 // Stats is a point-in-time snapshot of pool counters. Every admitted
@@ -187,11 +174,11 @@ func NewPool(r Router, o Options) *Pool {
 // up waiting.
 //
 //crlint:hotpath
-func (p *Pool) Route(ctx context.Context, srcName, dstName uint64) (Result, error) {
+func (p *Pool) Route(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error) {
 	p.requests.Add(1)
 	if err := ctx.Err(); err != nil {
 		p.rejected.Add(1)
-		return Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, err)
+		return compactroute.Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, err)
 	}
 	if p.noCache {
 		return p.compute(ctx, srcName, dstName)
@@ -224,14 +211,14 @@ func (p *Pool) Route(ctx context.Context, srcName, dstName uint64) (Result, erro
 						continue
 					}
 					p.errors.Add(1)
-					return Result{}, fl.err
+					return compactroute.Result{}, fl.err
 				}
 				p.coalesced.Add(1)
 				obs.Mark(ctx, "pool", "flight", "coalesced")
 				return fl.res, nil
 			case <-ctx.Done():
 				p.rejected.Add(1)
-				return Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, ctx.Err())
+				return compactroute.Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, ctx.Err())
 			}
 		case flightBypass:
 			// A different pair behind the same folded key is in
@@ -276,13 +263,13 @@ func (p *Pool) Purge() {
 // per-request counters.
 //
 //crlint:hotpath
-func (p *Pool) compute(ctx context.Context, srcName, dstName uint64) (Result, error) {
+func (p *Pool) compute(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error) {
 	start := time.Now()
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
 		p.rejected.Add(1)
-		return Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, ctx.Err())
+		return compactroute.Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, ctx.Err())
 	}
 	p.inFlight.Add(1)
 	res, err := p.router.RouteByName(ctx, srcName, dstName)
@@ -295,10 +282,10 @@ func (p *Pool) compute(ctx context.Context, srcName, dstName uint64) (Result, er
 		// ErrSaturated classification as every other rejection.
 		if isCanceled(err) {
 			p.rejected.Add(1)
-			return Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, err)
+			return compactroute.Result{}, fmt.Errorf("serve: %w: %w", ErrSaturated, err)
 		}
 		p.errors.Add(1)
-		return Result{}, err
+		return compactroute.Result{}, err
 	}
 	p.misses.Add(1)
 	obs.SpanN(ctx, "pool", "compute", "miss", start, int64(res.Hops))
@@ -375,7 +362,7 @@ type shard struct {
 type entry struct {
 	key      uint64
 	src, dst uint64
-	res      Result
+	res      compactroute.Result
 }
 
 // flight is one in-progress computation that identical concurrent
@@ -385,7 +372,7 @@ type flight struct {
 	src, dst uint64
 	waiters  int // followers attached (under the shard lock)
 	done     chan struct{}
-	res      Result
+	res      compactroute.Result
 	err      error
 }
 
@@ -406,16 +393,16 @@ func newShard(capacity int) *shard {
 	}
 }
 
-func (s *shard) get(key, src, dst uint64) (Result, bool) {
+func (s *shard) get(key, src, dst uint64) (compactroute.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
 	if !ok {
-		return Result{}, false
+		return compactroute.Result{}, false
 	}
 	e := el.Value.(*entry)
 	if e.src != src || e.dst != dst {
-		return Result{}, false // key collision: not our pair
+		return compactroute.Result{}, false // key collision: not our pair
 	}
 	s.order.MoveToFront(el)
 	return e.res, true
@@ -428,7 +415,7 @@ func (s *shard) generation() uint64 { return s.gen.Load() }
 // put inserts a result computed by a request admitted at generation
 // gen, dropping it when a purge has intervened — a stale-topology
 // result must never re-populate a purged cache.
-func (s *shard) put(key, src, dst uint64, res Result, gen uint64) {
+func (s *shard) put(key, src, dst uint64, res compactroute.Result, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gen.Load() != gen {
@@ -470,7 +457,7 @@ func (s *shard) joinFlight(key, src, dst uint64) (*flight, flightRole) {
 // table, and a post-purge request may have registered a NEW flight
 // under this key — the old leader must release its own followers
 // without tearing down the new flight.
-func (s *shard) resolveFlight(key uint64, fl *flight, res Result, err error) {
+func (s *shard) resolveFlight(key uint64, fl *flight, res compactroute.Result, err error) {
 	s.mu.Lock()
 	if s.flights[key] == fl {
 		delete(s.flights, key)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"compactroute"
+	"compactroute/client"
 	"compactroute/internal/graph"
 )
 
@@ -241,7 +242,7 @@ func TestEndToEndChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	fg := finalNet.Graph()
-	client := ts.Client()
+	hc := ts.Client()
 	checked := 0
 	for s := 0; s < fg.N(); s += 5 {
 		for d := 1; d < fg.N(); d += 7 {
@@ -250,11 +251,11 @@ func TestEndToEndChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := client.Get(fmt.Sprintf("%s/v1/route?src=%d&dst=%d", ts.URL, src, dst))
+			resp, err := hc.Get(fmt.Sprintf("%s/v1/route?src=%d&dst=%d", ts.URL, src, dst))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got RouteResponse
+			var got client.Route
 			err = json.NewDecoder(resp.Body).Decode(&got)
 			resp.Body.Close()
 			if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,43 @@ func TestFailedElementReturns502(t *testing.T) {
 	}
 	if got := routeStatus(); got != http.StatusOK {
 		t.Fatalf("route after recovery: %d", got)
+	}
+}
+
+// TestMutateJournalsEachFaultOnce pins the journal's fault entries:
+// Mutate records every accepted fail/recover event exactly once, in
+// its trace spelling, while permanent churn and rejected batches
+// record none.
+func TestMutateJournalsEachFaultOnce(t *testing.T) {
+	srv, net := buildDynamic(t, "fulltable", 50, 0)
+	u, v, w := net.Graph().Name(0), firstNeighbor(net), net.Graph().Name(5)
+	if _, err := srv.Mutate(
+		compactroute.MutFailEdge(u, v),
+		compactroute.MutSetWeight(u, v, 2),
+		compactroute.MutFailNode(w),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Mutate(compactroute.MutRecoverEdge(v, u), compactroute.MutRecoverNode(w)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Mutate(compactroute.MutFailNode(w), compactroute.MutRecoverEdge(u, v)); err == nil {
+		t.Fatal("batch recovering an up edge accepted")
+	}
+	var got []string
+	for _, ev := range srv.journal.Events() {
+		if ev.Kind == "fault" {
+			got = append(got, ev.Detail)
+		}
+	}
+	want := []string{
+		fmt.Sprintf("failedge %d %d", u, v),
+		fmt.Sprintf("failnode %d", w),
+		fmt.Sprintf("recoveredge %d %d", v, u),
+		fmt.Sprintf("recovernode %d", w),
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fault journal %q, want %q", got, want)
 	}
 }
 

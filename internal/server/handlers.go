@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"compactroute"
+	"compactroute/client"
 	"compactroute/internal/obs"
 	"compactroute/internal/serve"
 )
@@ -47,32 +48,6 @@ func (s *Server) initRoutes(r serve.Router) {
 	} {
 		s.mux.HandleFunc(ep.method+" /v1"+ep.path, o.Observe(ep.path, ep.h))
 	}
-}
-
-// RouteResponse is the JSON shape of a routing answer. Version is the
-// topology version the route was computed on (dynamic mode only; nil
-// for a static scheme) — cluster front-doors compare it across shards
-// to detect skew.
-type RouteResponse struct {
-	Delivered    bool    `json:"delivered"`
-	Cost         float64 `json:"cost"`
-	Hops         int     `json:"hops"`
-	HeaderBits   int64   `json:"headerBits"`
-	ShortestCost float64 `json:"shortestCost,omitempty"`
-	Stretch      float64 `json:"stretch,omitempty"`
-	Version      *uint64 `json:"version,omitempty"`
-}
-
-// ResolveResponse is the JSON shape of GET /v1/resolve: name existence
-// plus the shortest-path distance between two names on the serving
-// version — the cheap check a caller runs before (or instead of)
-// walking a route.
-type ResolveResponse struct {
-	SrcKnown     bool    `json:"srcKnown"`
-	DstKnown     bool    `json:"dstKnown"`
-	MetricKnown  bool    `json:"metricKnown"`
-	ShortestCost float64 `json:"shortestCost,omitempty"`
-	Version      *uint64 `json:"version,omitempty"`
 }
 
 // StatusFor maps an error onto an HTTP status through the typed
@@ -139,12 +114,12 @@ func errorStatus(w http.ResponseWriter, err error) {
 // was computed on exactly that version. A swap racing the route (rare:
 // swaps are sub-millisecond events) retries; after a few lost races
 // the answer ships with the latest version, best effort.
-func (s *Server) routeVersioned(ctx context.Context, src, dst uint64) (serve.Result, *uint64, error) {
+func (s *Server) routeVersioned(ctx context.Context, src, dst uint64) (compactroute.Result, *uint64, error) {
 	if s.dyn == nil {
 		res, err := s.pool.Route(ctx, src, dst)
 		return res, nil, err
 	}
-	var res serve.Result
+	var res compactroute.Result
 	var err error
 	for range 3 {
 		before := s.dyn.Version().ID
@@ -160,15 +135,12 @@ func (s *Server) routeVersioned(ctx context.Context, src, dst uint64) (serve.Res
 	return res, &v, nil
 }
 
+// handleRoute answers in the wire shape the client decodes
+// (client.Route): the shard and the front-door write the same bytes.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	src, err := ParseName(r.URL.Query().Get("src"))
+	src, dst, err := ParsePair(r)
 	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad src: %v", err)
-		return
-	}
-	dst, err := ParseName(r.URL.Query().Get("dst"))
-	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad dst: %v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	res, version, err := s.routeVersioned(r.Context(), src, dst)
@@ -176,7 +148,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		errorStatus(w, err)
 		return
 	}
-	resp := RouteResponse{
+	resp := client.Route{
 		Delivered:  res.Delivered,
 		Cost:       res.Cost,
 		Hops:       res.Hops,
@@ -210,17 +182,12 @@ func (s *Server) servedKind() string {
 // asking "does this name exist?" must be able to tell "no" from a
 // failed request.
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	src, err := ParseName(r.URL.Query().Get("src"))
+	src, dst, err := ParsePair(r)
 	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad src: %v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dst, err := ParseName(r.URL.Query().Get("dst"))
-	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad dst: %v", err)
-		return
-	}
-	var resp ResolveResponse
+	var resp client.Resolve
 	for range 3 {
 		var before uint64
 		if s.dyn != nil {
@@ -241,11 +208,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveOnce resolves both names on the scheme serving right now.
-func (s *Server) resolveOnce(src, dst uint64) ResolveResponse {
+func (s *Server) resolveOnce(src, dst uint64) client.Resolve {
 	net := s.currentScheme().Network()
 	su, sok := net.Graph().Lookup(src)
 	du, dok := net.Graph().Lookup(dst)
-	resp := ResolveResponse{SrcKnown: sok, DstKnown: dok, MetricKnown: net.HasMetric()}
+	resp := client.Resolve{SrcKnown: sok, DstKnown: dok, MetricKnown: net.HasMetric()}
 	if sok && dok && resp.MetricKnown {
 		if d, err := net.TryDistance(su, du); err == nil {
 			resp.ShortestCost = d
@@ -262,27 +229,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		errorStatus(w, ErrStatic)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	muts, err := DecodeMutations(w, r)
 	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var muts []compactroute.Mutation
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "[") {
-		err = json.Unmarshal(body, &muts)
-	} else {
-		var m compactroute.Mutation
-		if err = json.Unmarshal(body, &m); err == nil {
-			muts = []compactroute.Mutation{m}
-		}
-	}
-	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad mutation body: %v", err)
-		return
-	}
-	if len(muts) == 0 {
-		HTTPError(w, http.StatusBadRequest, "no mutations in body")
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Through Mutate, not dyn.Apply: accepted fault events must reach
@@ -293,11 +242,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.maybeAutoRebuild()
-	WriteJSON(w, map[string]any{
-		"applied": len(muts),
-		"seq":     seq,
-		"pending": s.dyn.Pending(),
-	})
+	WriteJSON(w, client.MutateReply{Applied: len(muts), Seq: seq, Pending: s.dyn.Pending()})
 }
 
 // handleRebuild triggers a background rebuild (202). With ?wait=1 it
@@ -329,7 +274,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		if !s.triggerRebuild(nil) {
 			status = "already scheduled"
 		}
-		WriteJSONStatus(w, http.StatusAccepted, map[string]any{"status": status, "pending": s.dyn.Pending()})
+		WriteJSONStatus(w, http.StatusAccepted, client.RebuildReply{Status: status, Pending: s.dyn.Pending()})
 		return
 	}
 	reply := make(chan rebuildReply, 1)
@@ -415,6 +360,46 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, s.Stats())
+}
+
+// ParsePair parses the src and dst query parameters of a route or
+// resolve request, naming the bad one in the error (a 400 at both
+// tiers).
+func ParsePair(r *http.Request) (src, dst uint64, err error) {
+	q := r.URL.Query()
+	if src, err = ParseName(q.Get("src")); err != nil {
+		return 0, 0, fmt.Errorf("bad src: %v", err)
+	}
+	if dst, err = ParseName(q.Get("dst")); err != nil {
+		return 0, 0, fmt.Errorf("bad dst: %v", err)
+	}
+	return src, dst, nil
+}
+
+// DecodeMutations reads a /v1/mutate body — one mutation object or a
+// JSON array of them, at most 16 MiB — and rejects an empty batch. Its
+// errors are the caller's fault (a 400 at both tiers).
+func DecodeMutations(w http.ResponseWriter, r *http.Request) ([]compactroute.Mutation, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	if err != nil {
+		return nil, fmt.Errorf("reading body: %v", err)
+	}
+	var muts []compactroute.Mutation
+	if strings.HasPrefix(strings.TrimSpace(string(body)), "[") {
+		err = json.Unmarshal(body, &muts)
+	} else {
+		var m compactroute.Mutation
+		if err = json.Unmarshal(body, &m); err == nil {
+			muts = []compactroute.Mutation{m}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bad mutation body: %v", err)
+	}
+	if len(muts) == 0 {
+		return nil, errors.New("no mutations in body")
+	}
+	return muts, nil
 }
 
 // ParseName parses a node name as decimal or 0x-prefixed hex — and

@@ -17,13 +17,13 @@ import (
 func blockingServer(release <-chan struct{}, started chan<- struct{}) *Server {
 	s := &Server{cfg: Config{Workers: 4, CacheSize: -1}, logf: discardLogf,
 		done: make(chan struct{}), loopDone: make(chan struct{})}
-	s.initRoutes(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
+	s.initRoutes(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
-			return serve.Result{Delivered: true}, nil
+			return compactroute.Result{Delivered: true}, nil
 		case <-ctx.Done():
-			return serve.Result{}, ctx.Err()
+			return compactroute.Result{}, ctx.Err()
 		}
 	}))
 	return s

@@ -257,15 +257,13 @@ func (s *Server) initDynamic(cfg Config) error {
 	// against the transient fault overlay (a dead link is dead the
 	// moment its failure event is accepted, not at the next rebuild),
 	// with best-of-both-directions and flap damping as configured.
-	s.repair = serve.NewRepairer(func(ctx context.Context, src, dst uint64) (serve.Result, []uint64, error) {
+	s.repair = serve.NewRepairer(func(ctx context.Context, src, dst uint64) (compactroute.Result, []uint64, error) {
 		walk := time.Now()
 		res, path, err := dyn.RoutePathByNameCtx(ctx, s.kind, src, dst)
-		if err != nil {
-			return serve.Result{}, nil, err
+		if err == nil {
+			obs.SpanN(ctx, "scheme", "walk", s.kind, walk, int64(res.Hops))
 		}
-		obs.SpanN(ctx, "scheme", "walk", s.kind, walk, int64(res.Hops))
-		sres, _ := toServeResult(res, nil)
-		return sres, path, nil
+		return res, path, err
 	}, serve.RepairOptions{
 		BestOfBoth:   cfg.BestOfBoth,
 		DampPenalty:  cfg.DampPenalty,
@@ -305,9 +303,9 @@ func (s *Server) initStatic(cfg Config) error {
 		scheme.Network().EnsureMetric()
 	}
 	s.scheme = scheme
-	s.initRoutes(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (serve.Result, error) {
+	s.initRoutes(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
 		walk := time.Now()
-		res, err := toServeResult(scheme.RouteByNameCtx(ctx, src, dst))
+		res, err := scheme.RouteByNameCtx(ctx, src, dst)
 		if err == nil {
 			obs.SpanN(ctx, "scheme", "walk", scheme.Kind(), walk, int64(res.Hops))
 		}
@@ -430,12 +428,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Mutate validates and appends topology mutations atomically (all or
-// none), returning the sequence number of the last one. Accepted
-// transient failure/recovery events are fanned into the repair layer
-// in the same critical section — and the result cache purged — so a
-// route admitted after Mutate returns can neither cross a link it
-// just learned is dead nor be served a cached answer that does. A
-// static server wraps ErrStatic.
+// none), returning the sequence number of the last one. The accepted
+// batch reaches the repair layer's fault view in the same critical
+// section — and the result cache is purged when that view changed — so
+// a route admitted after Mutate returns can neither cross a link it
+// just learned is dead nor be served a cached answer that does. Every
+// accepted fail/recover event lands in the event journal here, the one
+// place each passes through. A static server wraps ErrStatic.
 func (s *Server) Mutate(ms ...compactroute.Mutation) (uint64, error) {
 	if s.dyn == nil {
 		return 0, fmt.Errorf("server: mutate: %w", ErrStatic)
@@ -446,44 +445,15 @@ func (s *Server) Mutate(ms ...compactroute.Mutation) (uint64, error) {
 	if err != nil {
 		return seq, err
 	}
-	if s.observeFaults(ms) {
+	for _, m := range ms {
+		if m.Op.Transient() {
+			s.journal.Record("fault", m.String())
+		}
+	}
+	if s.repair.Observe(ms...) {
 		s.pool.Purge()
 	}
 	return seq, nil
-}
-
-// observeFaults projects an accepted batch's fault events into the
-// repair layer, reporting whether the overlay changed (cached results
-// are stale the moment it does). Fault transitions land in the event
-// journal here — the one place every accepted transition passes
-// through. Caller holds muteMu.
-func (s *Server) observeFaults(ms []compactroute.Mutation) bool {
-	changed := false
-	for _, m := range ms {
-		switch m.Op {
-		case compactroute.OpFailEdge:
-			s.repair.FailEdge(m.U, m.V)
-			s.journal.Record("fault", fmt.Sprintf("failedge %d-%d", m.U, m.V))
-			changed = true
-		case compactroute.OpRecoverEdge:
-			s.repair.RecoverEdge(m.U, m.V)
-			s.journal.Record("fault", fmt.Sprintf("recoveredge %d-%d", m.U, m.V))
-			changed = true
-		case compactroute.OpFailNode:
-			s.repair.FailNode(m.Name)
-			s.journal.Record("fault", fmt.Sprintf("failnode %d", m.Name))
-			changed = true
-		case compactroute.OpRecoverNode:
-			s.repair.RecoverNode(m.Name)
-			s.journal.Record("fault", fmt.Sprintf("recovernode %d", m.Name))
-			changed = true
-		case compactroute.OpRemoveEdge:
-			if s.repair.DropEdge(m.U, m.V) {
-				changed = true
-			}
-		}
-	}
-	return changed
 }
 
 // Rebuild synchronously replays the pending mutations, rebuilds every
@@ -656,19 +626,4 @@ func (s *Server) maybeAutoRebuild() {
 	if s.cfg.RebuildAfter > 0 && s.dyn.Pending() >= uint64(s.cfg.RebuildAfter) {
 		s.triggerRebuild(nil)
 	}
-}
-
-// toServeResult adapts a facade result to the pool's cached shape.
-func toServeResult(res compactroute.Result, err error) (serve.Result, error) {
-	if err != nil {
-		return serve.Result{}, err
-	}
-	return serve.Result{
-		Delivered:    res.Delivered,
-		Cost:         res.Cost,
-		Hops:         res.Hops,
-		HeaderBits:   res.HeaderBits,
-		ShortestCost: res.ShortestCost,
-		MetricKnown:  res.MetricKnown,
-	}, nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"compactroute"
+	"compactroute/client"
 	"compactroute/internal/serve"
 )
 
@@ -65,7 +66,7 @@ func TestServerRoutesLoadedScheme(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rr RouteResponse
+			var rr client.Route
 			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestServerConcurrentLoad(t *testing.T) {
 					errs <- err
 					return
 				}
-				var rr RouteResponse
+				var rr client.Route
 				err = json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
 				if err != nil {
@@ -251,7 +252,7 @@ func TestMetricOrderingUnreachableStaleness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rr RouteResponse
+		var rr client.Route
 		err = json.NewDecoder(resp.Body).Decode(&rr)
 		resp.Body.Close()
 		if err != nil {
@@ -291,7 +292,7 @@ func TestServeEveryRegistryKind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rr RouteResponse
+			var rr client.Route
 			err = json.NewDecoder(resp.Body).Decode(&rr)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK || !rr.Delivered {
@@ -392,7 +393,7 @@ func TestResolveEndpoint(t *testing.T) {
 	defer ts.Close()
 	g := net.Graph()
 
-	get := func(src, dst string) ResolveResponse {
+	get := func(src, dst string) client.Resolve {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("%s/v1/resolve?src=%s&dst=%s", ts.URL, src, dst))
 		if err != nil {
@@ -402,7 +403,7 @@ func TestResolveEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("resolve %s→%s: status %d", src, dst, resp.StatusCode)
 		}
-		var rr ResolveResponse
+		var rr client.Resolve
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 			t.Fatal(err)
 		}
