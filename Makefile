@@ -75,9 +75,10 @@ bench:
 # Machine-readable experiment results (JSON Lines), the BENCH_*.json
 # perf-trajectory format. Written to the file first (a pipe through
 # tee would mask a routebench failure behind tee's exit status), then
-# shown and checked non-empty. D2 is a gate instead: its quick run is
-# deterministic (the same bytes on every run and at any GOMAXPROCS),
-# so the regenerated table must equal the committed BENCH_D2.json.
+# shown and checked non-empty. D2, T1 and T4 are gates instead: their
+# quick runs are deterministic (the same bytes on every run and at any
+# GOMAXPROCS), so each regenerated table must equal its committed
+# BENCH_*.json.
 benchjson:
 	$(GO) run ./cmd/routebench -exp P1 -quick -json > BENCH_P1.json
 	@cat BENCH_P1.json
@@ -88,10 +89,12 @@ benchjson:
 	$(GO) run ./cmd/routebench -exp D1 -quick -json > BENCH_D1.json
 	@cat BENCH_D1.json
 	@test -s BENCH_D1.json || { echo "benchjson: empty BENCH_D1.json" >&2; exit 1; }
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/routebench -exp D2 -quick -json > $$tmp && cat $$tmp && cmp BENCH_D2.json $$tmp; \
-	st=$$?; rm -f $$tmp; \
-	[ $$st -eq 0 ] || { echo "benchjson: D2 did not reproduce the committed BENCH_D2.json" >&2; exit 1; }
+	@for exp in D2 T1 T4; do \
+		tmp=$$(mktemp); \
+		$(GO) run ./cmd/routebench -exp $$exp -quick -json > $$tmp && cat $$tmp && cmp BENCH_$$exp.json $$tmp; \
+		st=$$?; rm -f $$tmp; \
+		[ $$st -eq 0 ] || { echo "benchjson: $$exp did not reproduce the committed BENCH_$$exp.json" >&2; exit 1; }; \
+	done
 	$(GO) run ./cmd/routebench -exp S1 -quick -json > BENCH_S1.json
 	@cat BENCH_S1.json
 	@test -s BENCH_S1.json || { echo "benchjson: empty BENCH_S1.json" >&2; exit 1; }

@@ -452,9 +452,11 @@ func (s *Scheme) buildDenseSide(p Params) error {
 }
 
 // computeBounds fills b(u,i): the minimal trie depth finding all of
-// E(u,i) in T(c(u,i)) (§3.1).
+// E(u,i) in T(c(u,i)) (§3.1), from the bounds each trie recorded while
+// filling its buckets. Each u writes only its own levels, so the nodes
+// fan out.
 func (s *Scheme) computeBounds() {
-	for u := 0; u < s.g.N(); u++ {
+	sssp.ParallelFor(s.g.N(), 0, func(u int) {
 		for i := 0; i <= s.k; i++ {
 			info := &s.levels[u][i]
 			if info.dense || info.skip {
@@ -463,7 +465,10 @@ func (s *Scheme) computeBounds() {
 			lt := s.trees[info.center]
 			b := 1
 			for _, v := range s.dec.E(graph.NodeID(u), i) {
-				mb := lt.ni.MinBound(s.g.Name(v))
+				mb := 0
+				if idx, ok := lt.t.Index(v); ok {
+					mb = lt.ni.MinBoundOf(idx)
+				}
 				if mb == 0 {
 					// Unreachable: E(u,i) was forced into the tree.
 					mb = s.k
@@ -474,7 +479,7 @@ func (s *Scheme) computeBounds() {
 			}
 			info.bound = uint8(b)
 		}
-	}
+	})
 }
 
 // cacheSelfLabels stores λ(T(c(u,i)), u) per sparse level: the return

@@ -23,6 +23,7 @@ package landmark
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"compactroute/internal/decomp"
@@ -235,9 +236,8 @@ func (h *Hierarchy) S(u graph.NodeID, i int) []graph.NodeID {
 
 // InS reports whether c ∈ S(u) = ∪_i S(u,i).
 func (h *Hierarchy) InS(u, c graph.NodeID) bool {
-	m := h.members[c]
-	p := sort.Search(len(m), func(x int) bool { return m[x] >= u })
-	return p < len(m) && m[p] == u
+	_, ok := slices.BinarySearch(h.members[c], u)
+	return ok
 }
 
 // Members returns {v : c ∈ S(v)}, sorted — the span of the landmark
@@ -329,9 +329,13 @@ func (h *Hierarchy) VerifyClaim2(dec *decomp.Decomposition) (checked, violations
 // instance: for every u, sparse level i, and v ∈ E(u,i), the center
 // c(u,i) lies in S(v). Returns triples checked and failures. Failures
 // are possible in principle (the lemma is whp) — the routing scheme
-// repairs them constructively; see core.
+// repairs them constructively; see core. The nodes fan out, each
+// counting its own triples.
 func (h *Hierarchy) VerifyLemma3(dec *decomp.Decomposition) (checked, violations int) {
-	for u := 0; u < h.g.N(); u++ {
+	n := h.g.N()
+	checkedAt, violationsAt := make([]int, n), make([]int, n)
+	sssp.ParallelFor(n, 0, func(u int) {
+		checked, violations := 0, 0
 		for i := 0; i <= h.k; i++ {
 			if dec.Dense(graph.NodeID(u), i) {
 				continue
@@ -344,6 +348,11 @@ func (h *Hierarchy) VerifyLemma3(dec *decomp.Decomposition) (checked, violations
 				}
 			}
 		}
+		checkedAt[u], violationsAt[u] = checked, violations
+	})
+	for u := 0; u < n; u++ {
+		checked += checkedAt[u]
+		violations += violationsAt[u]
 	}
 	return checked, violations
 }

@@ -26,11 +26,21 @@
 // raised to the observed maximum so that delivery is guaranteed
 // deterministically, with the violation recorded for the experiment
 // tables (DESIGN.md substitution #2).
+//
+// Items 2 and 3 are charged as the paper stores them (StorageBits), but
+// held in memory without a map or a per-member pointer. Primary names
+// are handed out in lexicographic order level by level, so the member
+// at by-depth position p on level j is named by the j base-σ digits of
+// p − |V_{j−1}|, and its child y sits at position |V_j| + (p −
+// |V_{j−1}|)·σ + y: item 2 is arithmetic over by-depth positions. Item 3
+// is one CSR array per tree, each bucket sorted by external name.
 package nitree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"compactroute/internal/bitsize"
 	"compactroute/internal/graph"
@@ -84,16 +94,17 @@ type Scheme struct {
 	ReseedCount   int
 	LoadViolation bool
 
-	names    [][]uint16     // tree index -> primary name digits
-	trie     map[string]int // primary name -> tree index
-	levelLen []int          // |V_j| for j = 0..k
-	storage  []nodeStore    // per tree index
-}
-
-// nodeStore is what one member stores beyond µ(T,u).
-type nodeStore struct {
-	childLabels map[uint16]treeroute.Label // item 2
-	bucket      map[uint64]treeroute.Label // item 3: external name -> label
+	levelLen []int   // |V_j| for j = 0..k (cumulative)
+	posOf    []int32 // tree index -> by-depth position
+	// Item 3 for every trie node, as one CSR over by-depth positions:
+	// position p's bucket is entries bucketOff[p]..bucketOff[p+1],
+	// sorted by external name.
+	bucketOff    []int32
+	bucketName   []uint64
+	bucketMember []int32 // tree index of each entry
+	// minBound[i] is the smallest search bound that finds member i,
+	// recorded while the buckets fill.
+	minBound []uint8
 }
 
 // New builds the Lemma 4 structures over t.
@@ -117,6 +128,11 @@ func New(t *tree.Tree, p Params) (*Scheme, error) {
 		sigma: sigma,
 	}
 	s.assignNames()
+	order := t.ByDepth()
+	exts := make([]uint64, m) // external name by by-depth position
+	for pos, i := range order {
+		exts[pos] = t.Graph().Name(t.Node(int(i)))
+	}
 	theoryCap := int(math.Ceil(float64(sigma) * math.Log(math.Max(float64(p.UniverseN), 2)) * p.LoadFactor))
 	if theoryCap < 1 {
 		theoryCap = 1
@@ -125,7 +141,7 @@ func New(t *tree.Tree, p Params) (*Scheme, error) {
 	seed := p.Seed
 	bestSeed, bestLoad := seed, math.MaxInt
 	for attempt := 0; attempt < p.MaxReseeds; attempt++ {
-		load := s.maxPrefixLoad(seed)
+		load := s.maxPrefixLoad(seed, exts)
 		if load < bestLoad {
 			bestSeed, bestLoad = seed, load
 		}
@@ -143,46 +159,24 @@ func New(t *tree.Tree, p Params) (*Scheme, error) {
 		s.cap = bestLoad
 		s.LoadViolation = true
 	}
-	s.buildStorage()
+	s.buildStorage(exts)
 	return s, nil
 }
 
 // assignNames gives members primary names in by-depth order: the root
-// the empty word, then σ one-digit names, σ² two-digit names, …
+// the empty word, then σ one-digit names, σ² two-digit names, … in
+// lexicographic order. A name is implicit in its member's by-depth
+// position, so only the level sizes and the positions are kept.
 func (s *Scheme) assignNames() {
 	m := s.t.Len()
-	s.names = make([][]uint16, m)
-	s.trie = make(map[string]int, m)
 	s.levelLen = make([]int, s.k+1)
-	order := s.t.ByDepth()
-
 	pos := 0
 	levelSize := 1 // σ^level
 	for level := 0; level <= s.k && pos < m; level++ {
 		if level > 0 {
 			levelSize *= s.sigma
 		}
-		count := levelSize
-		if pos+count > m {
-			count = m - pos
-		}
-		digits := make([]uint16, level)
-		for c := 0; c < count; c++ {
-			i := int(order[pos])
-			name := make([]uint16, level)
-			copy(name, digits)
-			s.names[i] = name
-			s.trie[digitKey(name)] = i
-			pos++
-			// Increment digit string lexicographically.
-			for d := level - 1; d >= 0; d-- {
-				digits[d]++
-				if int(digits[d]) < s.sigma {
-					break
-				}
-				digits[d] = 0
-			}
-		}
+		pos += min(levelSize, m-pos)
 		s.levelLen[level] = pos
 	}
 	if pos < m {
@@ -196,96 +190,148 @@ func (s *Scheme) assignNames() {
 			s.levelLen[level] = s.levelLen[level-1]
 		}
 	}
+	s.posOf = make([]int32, m)
+	for pos, i := range s.t.ByDepth() {
+		s.posOf[i] = int32(pos)
+	}
+}
+
+// levelStart returns |V_{j−1}|, the first by-depth position on level j.
+func (s *Scheme) levelStart(j int) int {
+	if j == 0 {
+		return 0
+	}
+	return s.levelLen[j-1]
+}
+
+// levelOf returns the level (name length) of by-depth position p.
+func (s *Scheme) levelOf(p int) int {
+	j := 0
+	for p >= s.levelLen[j] {
+		j++
+	}
+	return j
+}
+
+// trieNode returns the by-depth position of the level-j member whose
+// name, read as a base-σ number, is v — if that name is assigned.
+func (s *Scheme) trieNode(j, v int) (int, bool) {
+	x := s.levelStart(j) + v
+	return x, x < s.levelLen[j]
+}
+
+// children returns the by-depth positions [lo, hi) of position p's
+// trie children: child y, named p's name followed by y, is at lo+y.
+func (s *Scheme) children(p int) (lo, hi int) {
+	j := s.levelOf(p)
+	if j == s.k {
+		return 0, 0
+	}
+	lo = s.levelLen[j] + (p-s.levelStart(j))*s.sigma
+	return lo, max(lo, min(lo+s.sigma, s.levelLen[j+1]))
 }
 
 // hashDigit returns digit d of the k-digit hash of an external name.
 func (s *Scheme) hashDigit(name uint64, d int) uint16 {
-	return uint16(xrand.Hash64(s.seed+uint64(d)*0x9e37, name) % uint64(s.sigma))
+	return digit(s.seed, s.sigma, name, d)
 }
 
-// hashPrefix returns the first j hash digits of a name.
-func (s *Scheme) hashPrefix(name uint64, j int) []uint16 {
-	p := make([]uint16, j)
-	for d := 0; d < j; d++ {
-		p[d] = s.hashDigit(name, d)
-	}
-	return p
-}
-
-// digitKey packs a digit string into a map key.
-func digitKey(d []uint16) string {
-	b := make([]byte, 2*len(d))
-	for i, v := range d {
-		b[2*i] = byte(v)
-		b[2*i+1] = byte(v >> 8)
-	}
-	return string(b)
+// digit is hashDigit under an explicit seed, for the seed search.
+func digit(seed uint64, sigma int, name uint64, d int) uint16 {
+	return uint16(xrand.Hash64(seed+uint64(d)*0x9e37, name) % uint64(sigma))
 }
 
 // maxPrefixLoad computes, under the given seed, the largest number of
-// members of V_j sharing a (j-1)-digit hash prefix, over all j.
-func (s *Scheme) maxPrefixLoad(seed uint64) int {
-	saved := s.seed
-	s.seed = seed
-	defer func() { s.seed = saved }()
-	order := s.t.ByDepth()
+// members of V_j sharing a (j-1)-digit hash prefix, over all j. Each
+// member's prefix is one packed base-σ integer, extended by a digit
+// per level (σ^{k−1} fits 64 bits for any n below 2^40).
+func (s *Scheme) maxPrefixLoad(seed uint64, exts []uint64) int {
+	prefix := make([]uint64, len(exts))
+	counts := make(map[uint64]int)
 	max := 0
 	for j := 1; j <= s.k; j++ {
-		counts := make(map[string]int)
-		vj := s.levelLen[j]
-		for pos := 0; pos < vj; pos++ {
-			v := s.t.Node(int(order[pos]))
-			key := digitKey(s.hashPrefix(s.t.Graph().Name(v), j-1))
+		clear(counts)
+		for _, key := range prefix[:s.levelLen[j]] {
 			counts[key]++
 			if counts[key] > max {
 				max = counts[key]
+			}
+		}
+		if j < s.k {
+			for pos, ext := range exts {
+				prefix[pos] = prefix[pos]*uint64(s.sigma) + uint64(digit(seed, s.sigma, ext, j-1))
 			}
 		}
 	}
 	return max
 }
 
-// buildStorage fills items 2 and 3 for every member.
-func (s *Scheme) buildStorage() {
-	m := s.t.Len()
-	s.storage = make([]nodeStore, m)
-	for i := range s.storage {
-		s.storage[i].childLabels = make(map[uint16]treeroute.Label)
-		s.storage[i].bucket = make(map[uint64]treeroute.Label)
-	}
-	// Item 2: parent trie node stores each child name's label.
-	for i := 0; i < m; i++ {
-		name := s.names[i]
-		if len(name) == 0 {
-			continue
-		}
-		parent, ok := s.trie[digitKey(name[:len(name)-1])]
-		if !ok {
-			panic("nitree: trie not prefix-closed")
-		}
-		s.storage[parent].childLabels[name[len(name)-1]] = s.lr.Label(i)
-	}
-	// Item 3: walk members closest-to-root first; each contributes to
-	// the bucket of the trie node matching every hash prefix of its
-	// external name, until that bucket is full.
-	g := s.t.Graph()
+// buildStorage fills item 3: members walk closest-to-root first, each
+// joining the bucket of the trie node matching every hash prefix of
+// its external name until that bucket is full. It records each
+// member's smallest search bound on the way: one more than the first
+// prefix length whose bucket took it (buckets never drop an entry, and
+// the trie is prefix-closed, so no shorter search finds it). Item 2
+// needs no storage; see children.
+func (s *Scheme) buildStorage(exts []uint64) {
+	m := len(exts)
 	order := s.t.ByDepth()
-	for pos := 0; pos < m; pos++ {
-		i := int(order[pos])
-		ext := g.Name(s.t.Node(i))
-		prefix := make([]uint16, 0, s.k)
+	s.minBound = make([]uint8, m)
+	count := make([]int32, m)
+	type entry struct{ at, pos int32 } // bucket position, member position
+	accepted := make([]entry, 0, m)
+	for pos, ext := range exts {
+		i := order[pos]
+		v := 0
 		for j := 0; j <= s.k; j++ {
-			x, ok := s.trie[digitKey(prefix)]
-			if ok && len(s.storage[x].bucket) < s.cap {
-				if _, dup := s.storage[x].bucket[ext]; !dup {
-					s.storage[x].bucket[ext] = s.lr.Label(i)
+			x, ok := s.trieNode(j, v)
+			if !ok {
+				break // prefix-closed: no deeper node either
+			}
+			if int(count[x]) < s.cap {
+				count[x]++
+				accepted = append(accepted, entry{int32(x), int32(pos)})
+				if j < s.k && s.minBound[i] == 0 {
+					s.minBound[i] = uint8(j + 1)
 				}
 			}
 			if j < s.k {
-				prefix = append(prefix, s.hashDigit(ext, j))
+				v = v*s.sigma + int(s.hashDigit(ext, j))
 			}
 		}
 	}
+	s.bucketOff = make([]int32, m+1)
+	for x := 0; x < m; x++ {
+		s.bucketOff[x+1] = s.bucketOff[x] + count[x]
+	}
+	type slot struct {
+		name   uint64
+		member int32
+	}
+	slots := make([]slot, len(accepted))
+	next := count // reused as each bucket's fill cursor
+	copy(next, s.bucketOff[:m])
+	for _, e := range accepted {
+		slots[next[e.at]] = slot{exts[e.pos], order[e.pos]}
+		next[e.at]++
+	}
+	for x := 0; x < m; x++ {
+		slices.SortFunc(slots[s.bucketOff[x]:s.bucketOff[x+1]], func(a, b slot) int {
+			return cmp.Compare(a.name, b.name)
+		})
+	}
+	s.bucketName = make([]uint64, len(slots))
+	s.bucketMember = make([]int32, len(slots))
+	for e, sl := range slots {
+		s.bucketName[e], s.bucketMember[e] = sl.name, sl.member
+	}
+}
+
+// bucketFind looks ext up in position p's bucket and returns its entry.
+func (s *Scheme) bucketFind(p int, ext uint64) (int, bool) {
+	lo, hi := s.bucketOff[p], s.bucketOff[p+1]
+	e, ok := slices.BinarySearch(s.bucketName[lo:hi], ext)
+	return int(lo) + e, ok
 }
 
 // Tree returns the underlying tree.
@@ -300,8 +346,18 @@ func (s *Scheme) Sigma() int { return s.sigma }
 // BucketCap returns the bucket capacity in effect.
 func (s *Scheme) BucketCap() int { return s.cap }
 
-// PrimaryName returns the digit string of member i (root: empty).
-func (s *Scheme) PrimaryName(i int) []uint16 { return s.names[i] }
+// PrimaryName returns the digit string of member i (root: empty): the
+// base-σ digits of its offset within its level.
+func (s *Scheme) PrimaryName(i int) []uint16 {
+	p := int(s.posOf[i])
+	j := s.levelOf(p)
+	name := make([]uint16, j)
+	for v, d := p-s.levelStart(j), j-1; d >= 0; d-- {
+		name[d] = uint16(v % s.sigma)
+		v /= s.sigma
+	}
+	return name
+}
 
 // LevelSize returns |V_j|: the number of members with ≤ j digits.
 func (s *Scheme) LevelSize(j int) int {
@@ -323,36 +379,22 @@ func (s *Scheme) StorageBits(i int) bitsize.Bits {
 	}
 	b := bitsize.Bits(logn * logn) // Θ(log² n) for the hash function
 	b += s.lr.LocalBits(i)
-	for _, l := range s.storage[i].childLabels {
-		b += 8 + l.Bits() // digit + label
+	order := s.t.ByDepth()
+	p := int(s.posOf[i])
+	lo, hi := s.children(p)
+	for c := lo; c < hi; c++ {
+		b += 8 + s.lr.Label(int(order[c])).Bits() // digit + label
 	}
-	for range s.storage[i].bucket {
-		b += bitsize.NameBits
-	}
-	for _, l := range s.storage[i].bucket {
-		b += l.Bits()
+	for e := s.bucketOff[p]; e < s.bucketOff[p+1]; e++ {
+		b += bitsize.NameBits + s.lr.Label(int(s.bucketMember[e])).Bits()
 	}
 	return b
 }
 
-// MinBound returns the smallest j such that a j-bounded search finds
-// the member with external name ext, or 0 if no bound suffices (the
-// name is not discoverable — never the case for tree members). This is
-// the quantity b(u,i) of §3.1 is computed from.
-func (s *Scheme) MinBound(ext uint64) int {
-	prefix := make([]uint16, 0, s.k)
-	for round := 1; round <= s.k; round++ {
-		x, ok := s.trie[digitKey(prefix)]
-		if !ok {
-			return 0
-		}
-		if _, hit := s.storage[x].bucket[ext]; hit {
-			return round
-		}
-		prefix = append(prefix, s.hashDigit(ext, round-1))
-	}
-	return 0
-}
+// MinBoundOf returns the smallest j such that a j-bounded search finds
+// member i, as recorded when the buckets were filled. This is the
+// quantity b(u,i) of §3.1 is computed from.
+func (s *Scheme) MinBoundOf(i int) int { return int(s.minBound[i]) }
 
 // --- j-bounded search as a distributed step machine ---
 
@@ -434,19 +476,19 @@ func (s *Scheme) Step(x graph.NodeID, h *Search) (Action, int, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("nitree: trie node %d not a member", x)
 	}
-	st := &s.storage[i]
+	p := int(s.posOf[i])
 	h.round++
-	if lbl, hit := st.bucket[h.Target]; hit {
+	if e, hit := s.bucketFind(p, h.Target); hit {
 		if s.t.Graph().Name(x) == h.Target {
 			h.Found = true
 			return Delivered, 0, nil
 		}
 		h.phase = phaseToTarget
-		h.leg = lbl
+		h.leg = s.lr.Label(int(s.bucketMember[e]))
 		return s.Step(x, h)
 	}
 	negative := func() (Action, int, error) {
-		if len(s.names[i]) == 0 { // already at the root
+		if p == 0 { // already at the root
 			h.Negative = true
 			return ReportedNotFound, 0, nil
 		}
@@ -458,15 +500,15 @@ func (s *Scheme) Step(x graph.NodeID, h *Search) (Action, int, error) {
 	if h.round >= h.Bound {
 		return negative()
 	}
-	digit := s.hashDigit(h.Target, h.round-1)
-	next, hit := st.childLabels[digit]
-	if !hit {
+	lo, hi := s.children(p)
+	c := lo + int(s.hashDigit(h.Target, h.round-1))
+	if c >= hi {
 		// The trie has no deeper node on this hash path, so the name
 		// cannot exist in the tree: report the error.
 		return negative()
 	}
 	h.phase = phaseToTrieNode
-	h.leg = next
+	h.leg = s.lr.Label(int(s.t.ByDepth()[c]))
 	return s.Step(x, h)
 }
 

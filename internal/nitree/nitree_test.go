@@ -140,22 +140,22 @@ func TestMinBoundSufficientAndTight(t *testing.T) {
 	s := mustNew(t, tr, Params{K: k, Seed: 9})
 	for i := 0; i < tr.Len(); i++ {
 		ext := g.Name(tr.Node(i))
-		b := s.MinBound(ext)
+		b := s.MinBoundOf(i)
 		if b < 1 || b > k {
-			t.Fatalf("MinBound(%d) = %d out of range", i, b)
+			t.Fatalf("MinBoundOf(%d) = %d out of range", i, b)
 		}
 		found, _, err := s.RunSearch(ext, b)
 		if err != nil || !found {
 			t.Fatalf("b-bounded search failed for member %d with b=%d", i, b)
 		}
 		if b > 1 {
-			// One less must fail (tightness of MinBound).
+			// One less must fail (tightness of MinBoundOf).
 			found, _, err := s.RunSearch(ext, b-1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if found {
-				t.Fatalf("member %d found with bound %d < MinBound %d", i, b-1, b)
+				t.Fatalf("member %d found with bound %d < MinBoundOf %d", i, b-1, b)
 			}
 		}
 	}
@@ -305,9 +305,9 @@ func TestBucketCapRespectsTheory(t *testing.T) {
 		t.Fatalf("cap %d != theory %d without violation", s.BucketCap(), theory)
 	}
 	// Buckets must not exceed the cap.
-	for i := range s.storage {
-		if len(s.storage[i].bucket) > s.BucketCap() {
-			t.Fatalf("bucket %d overflows cap", i)
+	for p := 0; p < tr.Len(); p++ {
+		if n := int(s.bucketOff[p+1] - s.bucketOff[p]); n > s.BucketCap() {
+			t.Fatalf("bucket %d holds %d > cap", p, n)
 		}
 	}
 }

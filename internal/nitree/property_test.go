@@ -11,7 +11,7 @@ import (
 
 // Property: on arbitrary random SPTs and k values, every member is
 // found by a full search within the 2k−1 stretch bound, every phantom
-// is reported missing, and MinBound is both sufficient and tight.
+// is reported missing, and MinBoundOf is sufficient.
 func TestSearchInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		k := 2 + int(kRaw%3) // k ∈ {2,3,4}
@@ -42,7 +42,7 @@ func TestSearchInvariantsProperty(t *testing.T) {
 			if d := tr.Depth(i); cost > float64(2*k-1)*d+1e-9 {
 				return false
 			}
-			b := s.MinBound(ext)
+			b := s.MinBoundOf(i)
 			if b < 1 || b > k {
 				return false
 			}
@@ -82,10 +82,14 @@ func TestTriePrefixClosedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		assigned := make(map[string]bool, tr.Len())
+		for i := 0; i < tr.Len(); i++ {
+			assigned[digitKey(s.PrimaryName(i))] = true
+		}
 		for i := 0; i < tr.Len(); i++ {
 			name := s.PrimaryName(i)
 			for l := 0; l < len(name); l++ {
-				if _, ok := s.trie[digitKey(name[:l])]; !ok {
+				if !assigned[digitKey(name[:l])] {
 					return false
 				}
 			}

@@ -29,12 +29,14 @@ type Tree struct {
 	childPort  []int32   // graph port at parent crossing to this node
 	edgeW      []float64 // weight of the edge to the parent
 	depth      []float64 // weighted distance from the root along the tree
-	children   [][]int32
-	size       []int32 // subtree sizes
-	pre        []int32 // DFS preorder number
-	post       []int32 // one past the largest preorder in the subtree
-	heavy      []int32 // child with the largest subtree (-1 for leaves)
-	byDepth    []int32 // tree indices sorted by (depth, name)
+	// Children as CSR: i's children are childList[childOff[i]:childOff[i+1]].
+	childOff  []int32
+	childList []int32
+	size      []int32 // subtree sizes
+	pre       []int32 // DFS preorder number
+	post      []int32 // one past the largest preorder in the subtree
+	heavy     []int32 // child with the largest subtree (-1 for leaves)
+	byDepth   []int32 // tree indices sorted by (depth, name)
 }
 
 // Builder accumulates tree edges before freezing.
@@ -119,17 +121,27 @@ func (t *Tree) push(id graph.NodeID, parent, parentPort, childPort int32, w, d f
 // the by-depth order. Iterative to stay safe on path-shaped trees.
 func (t *Tree) finish() {
 	n := len(t.nodes)
-	t.children = make([][]int32, n)
+	t.childOff = make([]int32, n+1)
+	for i := 1; i < n; i++ {
+		t.childOff[t.parent[i]+1]++
+	}
+	for i := 1; i <= n; i++ {
+		t.childOff[i] += t.childOff[i-1]
+	}
+	t.childList = make([]int32, n-1)
+	fill := make([]int32, n)
+	copy(fill, t.childOff[:n])
 	for i := 1; i < n; i++ {
 		p := t.parent[i]
-		t.children[p] = append(t.children[p], int32(i))
+		t.childList[fill[p]] = int32(i)
+		fill[p]++
 	}
 	t.size = make([]int32, n)
 	// Nodes were pushed in BFS order, so a reverse sweep sees children
 	// before parents.
 	for i := n - 1; i >= 0; i-- {
 		t.size[i] = 1
-		for _, c := range t.children[i] {
+		for _, c := range t.Children(i) {
 			t.size[i] += t.size[c]
 		}
 	}
@@ -137,7 +149,7 @@ func (t *Tree) finish() {
 	for i := 0; i < n; i++ {
 		t.heavy[i] = -1
 		best := int32(-1)
-		for _, c := range t.children[i] {
+		for _, c := range t.Children(i) {
 			if best < 0 || t.size[c] > t.size[best] {
 				best = c
 			}
@@ -150,38 +162,32 @@ func (t *Tree) finish() {
 	t.post = make([]int32, n)
 	type frame struct {
 		node int32
-		next int // -1 = visit heavy first, then others
+		next int32 // -1: heavy child next; else the next index into the children
 	}
-	counter := int32(0)
+	counter := int32(1) // the root takes preorder 0
 	stack := []frame{{0, -1}}
-	visitOrder := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		vo := make([]int32, 0, len(t.children[i]))
-		if t.heavy[i] >= 0 {
-			vo = append(vo, t.heavy[i])
-		}
-		for _, c := range t.children[i] {
-			if c != t.heavy[i] {
-				vo = append(vo, c)
-			}
-		}
-		visitOrder[i] = vo
-	}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.next == -1 {
-			t.pre[f.node] = counter
-			counter++
-			f.next = 0
+		heavy := t.heavy[f.node]
+		c := int32(-1)
+		if f.next < 0 {
+			f.next, c = 0, heavy
 		}
-		if f.next < len(visitOrder[f.node]) {
-			c := visitOrder[f.node][f.next]
+		kids := t.Children(int(f.node))
+		for c < 0 && int(f.next) < len(kids) {
+			if kids[f.next] != heavy {
+				c = kids[f.next]
+			}
 			f.next++
-			stack = append(stack, frame{c, -1})
+		}
+		if c < 0 {
+			t.post[f.node] = counter
+			stack = stack[:len(stack)-1]
 			continue
 		}
-		t.post[f.node] = counter
-		stack = stack[:len(stack)-1]
+		t.pre[c] = counter
+		counter++
+		stack = append(stack, frame{c, -1})
 	}
 	t.byDepth = make([]int32, n)
 	for i := range t.byDepth {
@@ -272,7 +278,10 @@ func (t *Tree) EdgeWeight(i int) float64 { return t.edgeW[i] }
 func (t *Tree) Depth(i int) float64 { return t.depth[i] }
 
 // Children returns i's children as tree indices (do not mutate).
-func (t *Tree) Children(i int) []int32 { return t.children[i] }
+func (t *Tree) Children(i int) []int32 {
+	lo, hi := t.childOff[i], t.childOff[i+1]
+	return t.childList[lo:hi:hi]
+}
 
 // SubtreeSize returns the number of members in i's subtree.
 func (t *Tree) SubtreeSize(i int) int { return int(t.size[i]) }

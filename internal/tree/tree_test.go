@@ -259,3 +259,27 @@ func TestSPTProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChildrenListsParentsInverse checks the CSR children against the
+// parent links: each member's children in increasing index order, each
+// slice capped at its own run.
+func TestChildrenListsParentsInverse(t *testing.T) {
+	g := gen.Gnp(31, 120, 0.04, gen.Uniform(1, 3))
+	tr := sptOf(t, g, 5)
+	want := make([][]int32, tr.Len())
+	for i := 1; i < tr.Len(); i++ {
+		p := tr.Parent(i)
+		want[p] = append(want[p], int32(i))
+	}
+	for i := 0; i < tr.Len(); i++ {
+		got := tr.Children(i)
+		if len(got) != len(want[i]) || cap(got) != len(got) {
+			t.Fatalf("member %d: children %v (cap %d), want %v", i, got, cap(got), want[i])
+		}
+		for j := range got {
+			if got[j] != want[i][j] {
+				t.Fatalf("member %d: children %v, want %v", i, got, want[i])
+			}
+		}
+	}
+}

@@ -58,13 +58,16 @@ type local struct {
 type Scheme struct {
 	t      *tree.Tree
 	locals []local
-	labels []Label
+	// Every member's light hops, back to back: member i's label carries
+	// light[lightOff[i]:lightOff[i+1]], root-side hop first.
+	light    []LightHop
+	lightOff []int32
 }
 
 // New builds the Lemma 5 structures for every member of t.
 func New(t *tree.Tree) *Scheme {
 	n := t.Len()
-	s := &Scheme{t: t, locals: make([]local, n), labels: make([]Label, n)}
+	s := &Scheme{t: t, locals: make([]local, n)}
 	for i := 0; i < n; i++ {
 		lo := local{
 			pre:        int32(t.Pre(i)),
@@ -81,33 +84,47 @@ func New(t *tree.Tree) *Scheme {
 		}
 		s.locals[i] = lo
 	}
-	for i := 0; i < n; i++ {
-		s.labels[i] = s.buildLabel(i)
+	// A member's light hops are its parent's plus, if it is a light
+	// child, the hop into it. Tree indices list parents before
+	// children, so one pass counts the hops (lightOff[i+1] holds member
+	// i's count until the prefix sum) and a second fills the runs.
+	s.lightOff = make([]int32, n+1)
+	for i := 1; i < n; i++ {
+		s.lightOff[i+1] = s.lightOff[t.Parent(i)+1] + s.lightEdge(i)
+	}
+	for i := 1; i <= n; i++ {
+		s.lightOff[i] += s.lightOff[i-1]
+	}
+	s.light = make([]LightHop, s.lightOff[n])
+	for i := 1; i < n; i++ {
+		p := t.Parent(i)
+		run := s.light[s.lightOff[i]:s.lightOff[i+1]]
+		copy(run, s.light[s.lightOff[p]:s.lightOff[p+1]])
+		if s.lightEdge(i) == 1 {
+			run[len(run)-1] = LightHop{ParentPre: int32(t.Pre(p)), Port: int32(t.ChildPort(i))}
+		}
 	}
 	return s
 }
 
-func (s *Scheme) buildLabel(i int) Label {
-	lbl := Label{Pre: int32(s.t.Pre(i))}
-	// Walk the root path top-down collecting light-edge decisions.
-	path := s.t.PathToRoot(i)
-	for j := len(path) - 1; j > 0; j-- {
-		parent, child := path[j], path[j-1]
-		if s.t.Heavy(parent) != child {
-			lbl.Light = append(lbl.Light, LightHop{
-				ParentPre: int32(s.t.Pre(parent)),
-				Port:      int32(s.t.ChildPort(child)),
-			})
-		}
+// lightEdge is 1 if member i hangs off its parent by a light edge.
+func (s *Scheme) lightEdge(i int) int32 {
+	if s.t.Heavy(s.t.Parent(i)) == i {
+		return 0
 	}
-	return lbl
+	return 1
 }
 
 // Tree returns the underlying tree.
 func (s *Scheme) Tree() *tree.Tree { return s.t }
 
-// Label returns λ(T, member i).
-func (s *Scheme) Label(i int) Label { return s.labels[i] }
+// Label returns λ(T, member i). Its light hops are capped at their
+// own run, so an append by the caller copies rather than overwriting
+// the next member's hops.
+func (s *Scheme) Label(i int) Label {
+	lo, hi := s.lightOff[i], s.lightOff[i+1]
+	return Label{Pre: s.locals[i].pre, Light: s.light[lo:hi:hi]}
+}
 
 // LabelOf returns the label of a graph node, which must be a member.
 func (s *Scheme) LabelOf(v graph.NodeID) (Label, bool) {
@@ -115,7 +132,7 @@ func (s *Scheme) LabelOf(v graph.NodeID) (Label, bool) {
 	if !ok {
 		return Label{}, false
 	}
-	return s.labels[i], true
+	return s.Label(i), true
 }
 
 // LocalBits returns the accounting size of µ(T, member i): seven
@@ -131,13 +148,13 @@ func (s *Scheme) LocalBits(i int) bitsize.Bits {
 // MaxLightHops returns the largest light-hop count over all labels;
 // the heavy-path argument bounds it by ⌊log₂ m⌋.
 func (s *Scheme) MaxLightHops() int {
-	max := 0
-	for _, l := range s.labels {
-		if len(l.Light) > max {
-			max = len(l.Light)
+	max := int32(0)
+	for i := 1; i < len(s.lightOff); i++ {
+		if h := s.lightOff[i] - s.lightOff[i-1]; h > max {
+			max = h
 		}
 	}
-	return max
+	return int(max)
 }
 
 // Step makes one routing decision at graph node x for a message headed

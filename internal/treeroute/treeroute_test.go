@@ -2,6 +2,7 @@ package treeroute
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,5 +184,52 @@ func TestRouteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLabelsMatchRootPath checks every flat label against the
+// definition: the destination's preorder number and one hop per light
+// edge on its root path, root side first.
+func TestLabelsMatchRootPath(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		g := gen.Gnp(seed, 90, 0.05, gen.Uniform(1, 4))
+		tr := buildSPT(t, g, graph.NodeID(seed))
+		s := New(tr)
+		for i := 0; i < tr.Len(); i++ {
+			want := Label{Pre: int32(tr.Pre(i))}
+			path := tr.PathToRoot(i)
+			for j := len(path) - 1; j > 0; j-- {
+				parent, child := path[j], path[j-1]
+				if tr.Heavy(parent) != child {
+					want.Light = append(want.Light, LightHop{ParentPre: int32(tr.Pre(parent)), Port: int32(tr.ChildPort(child))})
+				}
+			}
+			got := s.Label(i)
+			if got.Pre != want.Pre || !slices.Equal(got.Light, want.Light) {
+				t.Fatalf("seed %d member %d: label %+v, want %+v", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestLabelAppendLeavesNeighbours appends to every label and checks
+// that no other member's label changed.
+func TestLabelAppendLeavesNeighbours(t *testing.T) {
+	g := gen.Gnp(7, 80, 0.06, gen.Unit())
+	tr := buildSPT(t, g, 0)
+	s := New(tr)
+	before := make([]Label, tr.Len())
+	for i := range before {
+		l := s.Label(i)
+		before[i] = Label{Pre: l.Pre, Light: slices.Clone(l.Light)}
+	}
+	for i := 0; i < tr.Len(); i++ {
+		l := s.Label(i)
+		_ = append(l.Light, LightHop{ParentPre: -7, Port: -7})
+	}
+	for i := range before {
+		if got := s.Label(i); !slices.Equal(got.Light, before[i].Light) {
+			t.Fatalf("member %d label changed to %+v after appends", i, got)
+		}
 	}
 }
