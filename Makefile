@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmtcheck vet crlint lint-api lint-budget staticcheck docs vuln bench benchjson fuzz smoke ci
+.PHONY: build test race perfbench lint fmtcheck vet crlint lint-api lint-budget staticcheck docs vuln bench benchjson fuzz smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test:
 # dominate the pipeline for no extra interleaving coverage.
 race:
 	$(GO) test -race -short ./...
+
+# perfbench, the end-to-end benchmark (BENCHMARK.json), is a module of
+# its own that reaches this one through `replace compactroute => ../`,
+# so `go test ./...` never compiles it. Vet and test it here, so a
+# facade change that breaks it fails before the benchmark runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # lint is the umbrella; each sub-check is its own target so nothing
 # runs twice when both `make lint` and a single check are invoked.
@@ -118,6 +125,6 @@ smoke:
 # vuln and staticcheck are not in the local ci chain: both download
 # their tool, so they need network access. The pipeline runs each as
 # its own step.
-ci: build lint test race bench benchjson fuzz smoke
+ci: build lint test race perfbench bench benchjson fuzz smoke
 ci: export CHECK_DOCS_NO_VET = 1
 ci: docs

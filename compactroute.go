@@ -251,6 +251,7 @@ type Scheme struct {
 	kind   string // registry kind it was built or loaded as
 	router sim.Router
 	engine *sim.Engine
+	tracer *sim.Engine // engine that records paths, for RoutePathByNameCtx
 	table  tableSizer
 }
 
@@ -272,7 +273,9 @@ const (
 )
 
 func newScheme(net *Network, kind string, r sim.Router, t tableSizer) *Scheme {
-	return &Scheme{net: net, kind: kind, router: r, engine: sim.NewEngine(net.g), table: t}
+	tracer := sim.NewEngine(net.g)
+	tracer.Trace = true
+	return &Scheme{net: net, kind: kind, router: r, engine: sim.NewEngine(net.g), tracer: tracer, table: t}
 }
 
 // Name identifies the scheme in tables.
@@ -352,8 +355,9 @@ func (s *Scheme) RouteByNameCtx(ctx context.Context, srcName, dstName uint64) (R
 // RoutePathByNameCtx is RouteByNameCtx with the traversed path
 // returned as external names, source first (one entry for a
 // self-route; a failed search ends wherever the scheme gave up). It
-// runs on a tracing engine — one allocation per hop more than the
-// untraced route — and exists for layers that must inspect the walk:
+// runs on the scheme's tracing engine, which costs two allocations
+// more than the untraced route on most routes (the path, sized once,
+// and its names), and exists for layers that must inspect the walk:
 // the serving tier's fault repair (serve.Repairer) holds each path
 // against its down-link overlay.
 func (s *Scheme) RoutePathByNameCtx(ctx context.Context, srcName, dstName uint64) (Result, []uint64, error) {
@@ -361,9 +365,7 @@ func (s *Scheme) RoutePathByNameCtx(ctx context.Context, srcName, dstName uint64
 	if !ok {
 		return Result{}, nil, fmt.Errorf("compactroute: source name %#x: %w", srcName, ErrUnknownName)
 	}
-	eng := sim.NewEngine(s.net.g)
-	eng.Trace = true
-	res, err := eng.RouteCtx(ctx, s.router, src, dstName)
+	res, err := s.tracer.RouteCtx(ctx, s.router, src, dstName)
 	if err != nil {
 		return Result{}, nil, err
 	}

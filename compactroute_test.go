@@ -1,6 +1,8 @@
 package compactroute
 
 import (
+	"context"
+	"math"
 	"testing"
 )
 
@@ -169,5 +171,73 @@ func TestRouteByLabel(t *testing.T) {
 	}
 	if _, err := s.RouteByLabel("cache", "nope"); err == nil {
 		t.Fatal("unknown destination label accepted")
+	}
+}
+
+// TestRoutePathMatchesRoute checks the path walk against the untraced
+// route: the same answer, and a path of Hops+1 adjacent nodes from the
+// source to the destination whose weights sum to Cost.
+func TestRoutePathMatchesRoute(t *testing.T) {
+	net := RandomNetwork(7, 90, 0.06, UniformWeights(1, 6))
+	g := net.Graph()
+	ctx := context.Background()
+	for _, kind := range []string{KindPaper, KindFullTable} {
+		s, err := Build(net, Config{Kind: kind, K: 3, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 400; q++ {
+			src, dst := g.Name(NodeID(q%g.N())), g.Name(NodeID((q*37+11)%g.N()))
+			want, err := s.RouteByNameCtx(ctx, src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, path, err := s.RoutePathByNameCtx(ctx, src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s %#x→%#x: path walk %+v, route %+v", kind, src, dst, got, want)
+			}
+			if len(path) != got.Hops+1 || path[0] != src || path[len(path)-1] != dst {
+				t.Fatalf("%s %#x→%#x: path %x for %d hops", kind, src, dst, path, got.Hops)
+			}
+			cost := 0.0
+			for i := 0; i+1 < len(path); i++ {
+				u, _ := g.Lookup(path[i])
+				v, _ := g.Lookup(path[i+1])
+				port := g.PortTo(u, v)
+				if port < 0 {
+					t.Fatalf("%s %#x→%#x: hop %#x→%#x is not an edge", kind, src, dst, path[i], path[i+1])
+				}
+				cost += g.EdgeAt(u, port).Weight
+			}
+			if math.Abs(cost-got.Cost) > 1e-9 {
+				t.Fatalf("%s %#x→%#x: path weighs %v, cost %v", kind, src, dst, cost, got.Cost)
+			}
+		}
+	}
+}
+
+// TestRoutePathAllocs pins the path walk's allocations on the paper
+// scheme: the route's own two (header and search state), the path,
+// sized once, and its names. The walk reuses the scheme's engine.
+func TestRoutePathAllocs(t *testing.T) {
+	net := RandomNetwork(5, 512, 8.0/512, UniformWeights(1, 8))
+	s, err := Build(net, Config{Kind: KindPaper, K: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph()
+	ctx := context.Background()
+	q := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		q++
+		if _, _, err := s.RoutePathByNameCtx(ctx, g.Name(NodeID(q%512)), g.Name(NodeID((q*131+17)%512))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("RoutePathByNameCtx: %.2f allocations per route, want at most 4", allocs)
 	}
 }

@@ -1,6 +1,8 @@
 package compactroute
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -33,13 +35,15 @@ func TestParallelBuildDeterminism(t *testing.T) {
 }
 
 // TestConcurrentRouting: a built scheme is immutable, so any number of
-// goroutines may route through it simultaneously. Run with -race.
+// goroutines may route through it simultaneously, on the plain engine
+// and on the tracing engine the path walk shares. Run with -race.
 func TestConcurrentRouting(t *testing.T) {
 	net := RandomNetwork(10, 80, 0.08, UniformWeights(1, 5))
 	s, err := Build(net, Config{Kind: KindPaper, K: 2, Seed: 3, SFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := net.Graph()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -56,7 +60,16 @@ func TestConcurrentRouting(t *testing.T) {
 					return
 				}
 				if !res.Delivered {
+					errs[gi] = fmt.Errorf("route %d→%d not delivered", src, dst)
+					return
+				}
+				pres, path, err := s.RoutePathByNameCtx(context.Background(), g.Name(src), g.Name(dst))
+				if err != nil {
 					errs[gi] = err
+					return
+				}
+				if pres != res || path[len(path)-1] != g.Name(dst) {
+					errs[gi] = fmt.Errorf("path walk %d→%d: %+v ending at %#x, route %+v", src, dst, pres, path[len(path)-1], res)
 					return
 				}
 			}

@@ -235,9 +235,14 @@ func (z *TZ) MaxLabelBits() bitsize.Bits {
 }
 
 // tzHeader carries the destination label and the chosen pivot leg.
+// Once the source commits to a pivot it also holds that pivot's cluster
+// tree and the walk's position in it, the tree index of the current
+// node, which is not charged (see treeroute.Scheme.Step).
 type tzHeader struct {
 	label   TZLabel
-	pivotIx int // -1 until the source commits to a pivot
+	tw      *tzTree // nil until the source commits to a pivot
+	pivotIx int32
+	at      int32
 }
 
 // Bits implements sim.Header: the in-flight header size.
@@ -255,7 +260,7 @@ func (z *TZ) Begin(src graph.NodeID, dstName uint64) (sim.Header, error) {
 	if !ok {
 		return nil, fmt.Errorf("baseline: tz: destination name %#x: %w", dstName, routeerr.ErrUnknownName)
 	}
-	return &tzHeader{label: z.labels[id], pivotIx: -1}, nil
+	return &tzHeader{label: z.labels[id]}, nil
 }
 
 // Step implements sim.Router.
@@ -267,7 +272,7 @@ func (z *TZ) Step(x graph.NodeID, hh sim.Header) (sim.Action, int, error) {
 	if x == h.label.V {
 		return sim.Delivered, 0, nil
 	}
-	if h.pivotIx < 0 {
+	if h.tw == nil {
 		// Source decision: lowest-level usable pivot whose cluster
 		// contains x (so x can ascend its tree).
 		for i, p := range h.label.Pivots {
@@ -275,25 +280,27 @@ func (z *TZ) Step(x graph.NodeID, hh sim.Header) (sim.Action, int, error) {
 				continue
 			}
 			tw := z.trees[p.W]
-			if tw != nil && tw.t.Contains(x) {
-				h.pivotIx = i
+			if tw == nil {
+				continue
+			}
+			if at, ok := tw.t.Index(x); ok {
+				h.tw, h.pivotIx, h.at = tw, int32(i), int32(at)
 				break
 			}
 		}
-		if h.pivotIx < 0 {
+		if h.tw == nil {
 			return sim.Failed, 0, nil // cannot happen: top cluster = V
 		}
 	}
-	p := h.label.Pivots[h.pivotIx]
-	tw := z.trees[p.W]
 	// Route along the cluster tree path to v: never longer than the
 	// classic two-leg source→pivot→v walk.
-	arrived, port, err := tw.lr.Step(x, p.Label)
+	arrived, port, next, err := h.tw.lr.Step(x, int(h.at), h.label.Pivots[h.pivotIx].Label)
 	if err != nil {
 		return 0, 0, err
 	}
 	if arrived {
 		return sim.Delivered, 0, nil
 	}
+	h.at = int32(next)
 	return sim.Forward, port, nil
 }

@@ -30,24 +30,25 @@ const (
 type header struct {
 	dst   uint64
 	src   graph.NodeID // identifies the phase anchor (sanity checks)
+	at    int32        // tree index of the current node on a sparse leg
 	level int          // current phase i ∈ 1..k
 	stage stage
 
-	// Sparse phase state.
-	center graph.NodeID
+	// Sparse phase state. lt is the phase's tree T(c), resolved once
+	// when the phase opens.
+	lt     *landmarkTree
 	leg    labelT // current labeled-routing leg
 	ret    labelT // λ(T(c), src): the return address
 	search *nitree.Search
-	// Dense phase state.
+	// Dense phase state: the home tree's Lemma 7 structure and lookup.
+	cr  *covroute.Scheme
 	cov *covroute.Route
-
-	// PhaseCosts records the cost incurred per phase (filled by the
-	// engine-independent tracer; the sim engine ignores it).
-	PhaseCosts []float64
 }
 
 // Bits reports the header size: destination name, counters, and the
-// live legs/labels.
+// live legs/labels. The phase's tree and the position on it are not
+// charged: the level and the source name the tree, and the position is
+// a function of the tree and the current node.
 func (h *header) Bits() bitsize.Bits {
 	b := bitsize.NameBits + 16 // name + level/stage counters
 	b += h.leg.Bits() + h.ret.Bits()
@@ -105,45 +106,49 @@ func (s *Scheme) Step(x graph.NodeID, hh sim.Header) (sim.Action, int, error) {
 				continue
 			}
 			if info.dense {
-				cas := s.covers[info.scale]
-				cr, err := cas.routes[info.treeIdx].NewRoute(h.dst, x)
+				h.cr = s.covers[info.scale].routes[info.treeIdx]
+				cov, err := h.cr.NewRoute(h.dst, x)
 				if err != nil {
 					return 0, 0, err
 				}
-				h.cov = cr
+				h.cov = cov
 				h.stage = stageDenseLookup
 				continue
 			}
-			h.center = info.center
+			h.lt = s.trees[info.center]
 			h.ret = s.selfLabels[x][h.level]
 			if x == info.center {
-				h.search = s.trees[info.center].ni.NewSearch(h.dst, int(info.bound))
+				h.search = h.lt.ni.NewSearch(h.dst, int(info.bound))
 				h.stage = stageSparseSearch
 				continue
 			}
+			at, ok := h.lt.t.Index(x)
+			if !ok {
+				return 0, 0, fmt.Errorf("core: source %d missing from the tree of %d", x, info.center)
+			}
 			// Route to the root; the root's label is the canonical
 			// empty label (preorder 0, no light hops).
+			h.at = int32(at)
 			h.leg = labelT{Pre: 0}
 			h.stage = stageSparseToCenter
 			continue
 
 		case stageSparseToCenter:
-			lt := s.trees[h.center]
-			arrived, port, err := lt.ni.Labeled().Step(x, h.leg)
+			arrived, port, next, err := h.lt.ni.Labeled().Step(x, int(h.at), h.leg)
 			if err != nil {
 				return 0, 0, err
 			}
 			if !arrived {
+				h.at = int32(next)
 				return sim.Forward, port, nil
 			}
 			info := &s.levels[h.src][h.level]
-			h.search = lt.ni.NewSearch(h.dst, int(info.bound))
+			h.search = h.lt.ni.NewSearch(h.dst, int(info.bound))
 			h.stage = stageSparseSearch
 			continue
 
 		case stageSparseSearch:
-			lt := s.trees[h.center]
-			act, port, err := lt.ni.Step(x, h.search)
+			act, port, err := h.lt.ni.Step(x, h.search)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -152,20 +157,21 @@ func (s *Scheme) Step(x graph.NodeID, hh sim.Header) (sim.Action, int, error) {
 				return sim.Forward, port, nil
 			case nitree.Delivered:
 				return sim.Delivered, 0, nil
-			default: // back at the root with a negative response
+			default: // back at the root (tree index 0) with a negative response
 				h.search = nil
+				h.at = 0
 				h.leg = h.ret
 				h.stage = stageSparseReturn
 				continue
 			}
 
 		case stageSparseReturn:
-			lt := s.trees[h.center]
-			arrived, port, err := lt.ni.Labeled().Step(x, h.leg)
+			arrived, port, next, err := h.lt.ni.Labeled().Step(x, int(h.at), h.leg)
 			if err != nil {
 				return 0, 0, err
 			}
 			if !arrived {
+				h.at = int32(next)
 				return sim.Forward, port, nil
 			}
 			h.level++
@@ -173,9 +179,7 @@ func (s *Scheme) Step(x graph.NodeID, hh sim.Header) (sim.Action, int, error) {
 			continue
 
 		case stageDenseLookup:
-			info := &s.levels[h.src][h.level]
-			cas := s.covers[info.scale]
-			act, port, err := cas.routes[info.treeIdx].Step(x, h.cov)
+			act, port, err := h.cr.Step(x, h.cov)
 			if err != nil {
 				return 0, 0, err
 			}

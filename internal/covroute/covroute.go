@@ -160,6 +160,9 @@ type Route struct {
 	// Outcome flags.
 	Found    bool
 	Negative bool
+	// at is the tree index of the member the lookup is at. It is not
+	// charged (see treeroute.Scheme.Step).
+	at int32
 }
 
 // HeaderBits returns the accounting size of the header.
@@ -181,9 +184,10 @@ const (
 )
 
 // NewRoute prepares a lookup for ext starting at src, which must be a
-// member. The source's own label is the return address.
+// member. The source's own label is the return address, and its tree
+// index is the lookup's first position.
 func (s *Scheme) NewRoute(ext uint64, src graph.NodeID) (*Route, error) {
-	ret, ok := s.lr.LabelOf(src)
+	i, ok := s.t.Index(src)
 	if !ok {
 		return nil, fmt.Errorf("covroute: source %d is not a member", src)
 	}
@@ -191,19 +195,23 @@ func (s *Scheme) NewRoute(ext uint64, src graph.NodeID) (*Route, error) {
 		Target: ext,
 		phase:  phaseToRendezvous,
 		rvPre:  s.rendezvousPre(ext),
-		ret:    ret,
+		ret:    s.lr.Label(i),
+		at:     int32(i),
 	}, nil
 }
 
 // Step advances the lookup at graph node x using only x's local state
-// and the header.
+// and the header. The header carries the lookup's position from hop to
+// hop, so x's record is read by tree index; x must be the member the
+// previous step forwarded to (the source on the first step), or Step
+// errors.
 func (s *Scheme) Step(x graph.NodeID, h *Route) (Action, int, error) {
-	i, ok := s.t.Index(x)
-	if !ok {
-		return 0, 0, fmt.Errorf("covroute: node %d is not a member", x)
-	}
 	switch h.phase {
 	case phaseToRendezvous:
+		i := int(h.at)
+		if i < 0 || i >= len(s.locals) || s.t.Node(i) != x {
+			return 0, 0, fmt.Errorf("covroute: node %d is not the member at index %d", x, i)
+		}
 		lo := &s.locals[i]
 		if h.rvPre == lo.pre {
 			// At the rendezvous: resolve the name.
@@ -220,13 +228,14 @@ func (s *Scheme) Step(x graph.NodeID, h *Route) (Action, int, error) {
 			h.leg = h.ret
 			return s.Step(x, h)
 		}
-		port, err := s.intervalStep(lo, h.rvPre, x)
+		port, next, err := s.intervalStep(i, h.rvPre, x)
 		if err != nil {
 			return 0, 0, err
 		}
+		h.at = int32(next)
 		return Forward, port, nil
 	case phaseToTarget:
-		arrived, port, err := s.lr.Step(x, h.leg)
+		arrived, port, next, err := s.lr.Step(x, int(h.at), h.leg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -234,9 +243,10 @@ func (s *Scheme) Step(x graph.NodeID, h *Route) (Action, int, error) {
 			h.Found = true
 			return Delivered, 0, nil
 		}
+		h.at = int32(next)
 		return Forward, port, nil
 	default: // phaseToSource
-		arrived, port, err := s.lr.Step(x, h.leg)
+		arrived, port, next, err := s.lr.Step(x, int(h.at), h.leg)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -244,26 +254,29 @@ func (s *Scheme) Step(x graph.NodeID, h *Route) (Action, int, error) {
 			h.Negative = true
 			return ReportedNotFound, 0, nil
 		}
+		h.at = int32(next)
 		return Forward, port, nil
 	}
 }
 
-// intervalStep picks the port toward the member with preorder target.
-func (s *Scheme) intervalStep(lo *local, target int32, x graph.NodeID) (int, error) {
+// intervalStep picks the port at member i toward the member with
+// preorder target, and the tree index of the member across it.
+func (s *Scheme) intervalStep(i int, target int32, x graph.NodeID) (port, next int, err error) {
+	lo := &s.locals[i]
 	if target < lo.pre || target >= lo.post {
 		if lo.parentPort < 0 {
-			return 0, fmt.Errorf("covroute: preorder %d outside tree at root %d", target, x)
+			return 0, 0, fmt.Errorf("covroute: preorder %d outside tree at root %d", target, x)
 		}
-		return int(lo.parentPort), nil
+		return int(lo.parentPort), s.t.Parent(i), nil
 	}
 	// Binary search the child whose interval contains target. The
 	// children intervals partition (pre, post).
 	cs := lo.children
 	idx := sort.Search(len(cs), func(j int) bool { return cs[j].post > target })
 	if idx >= len(cs) || cs[idx].pre > target {
-		return 0, fmt.Errorf("covroute: interval gap for preorder %d at node %d", target, x)
+		return 0, 0, fmt.Errorf("covroute: interval gap for preorder %d at node %d", target, x)
 	}
-	return int(cs[idx].port), nil
+	return int(cs[idx].port), int(s.byPre[cs[idx].pre]), nil
 }
 
 // Run drives a full lookup for tests: it returns whether the name was

@@ -182,6 +182,49 @@ func TestNewRouteRejectsNonMember(t *testing.T) {
 	}
 }
 
+// TestStepRejectsWrongPosition steps lookups hop by hop and, before
+// each real step, offers a copy of the header at a member other than
+// the one it is at: every phase must refuse to route on that member's
+// record.
+func TestStepRejectsWrongPosition(t *testing.T) {
+	g := gen.Gnp(11, 60, 0.07, gen.Uniform(1, 4))
+	tr := buildSPT(t, g, 3)
+	s := New(tr, 4)
+	phases := map[phase]bool{}
+	for src := 0; src < tr.Len(); src += 7 {
+		// Members and names outside the tree, so lookups run all three
+		// phases.
+		for _, ext := range []uint64{g.Name(tr.Node((src * 5) % tr.Len())), 0xfeedface + uint64(src)} {
+			h, err := s.NewRoute(ext, tr.Node(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := tr.Node(src)
+			for steps := 0; ; steps++ {
+				if steps > 8*tr.Len() {
+					t.Fatalf("lookup %#x from %d not terminating", ext, src)
+				}
+				phases[h.phase] = true
+				wrong := *h
+				if _, _, err := s.Step(tr.Node((int(h.at)+1)%tr.Len()), &wrong); err == nil {
+					t.Fatalf("lookup %#x from %d: Step at a member other than position %d did not error (phase %d)", ext, src, h.at, h.phase)
+				}
+				act, port, err := s.Step(cur, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if act != Forward {
+					break
+				}
+				cur = g.EdgeAt(cur, port).To
+			}
+		}
+	}
+	if len(phases) != 3 {
+		t.Fatalf("lookups ran phases %v, want all three", phases)
+	}
+}
+
 func TestSingleNodeTree(t *testing.T) {
 	g := gen.Path(8, 1, gen.Unit())
 	tr, err := tree.NewBuilder(g, 0).Build()

@@ -409,12 +409,15 @@ const (
 
 // Search is the routing header of one j-bounded search. It holds only
 // information a real header would: the target's external name, the
-// bound, the current leg's label, and the round counter.
+// bound, the current leg's label, and the round counter. It also keeps
+// the walk's position, the tree index of the member it is at, which is
+// not charged (see treeroute.Scheme.Step).
 type Search struct {
 	Target uint64
 	Bound  int
 	round  int
 	phase  phase
+	at     int32
 	leg    treeroute.Label
 	// Outcome flags, set when the search terminates.
 	Found    bool
@@ -426,8 +429,9 @@ func (h *Search) HeaderBits() bitsize.Bits {
 	return bitsize.NameBits + 16 + h.leg.Bits()
 }
 
-// NewSearch prepares a j-bounded search for ext starting at the root.
-// The first leg trivially targets the root itself.
+// NewSearch prepares a j-bounded search for ext starting at the root,
+// which is tree index 0. The first leg trivially targets the root
+// itself.
 func (s *Scheme) NewSearch(ext uint64, bound int) *Search {
 	if bound < 1 {
 		bound = 1
@@ -435,8 +439,7 @@ func (s *Scheme) NewSearch(ext uint64, bound int) *Search {
 	if bound > s.k {
 		bound = s.k
 	}
-	rootIdx, _ := s.t.Index(s.t.Root())
-	return &Search{Target: ext, Bound: bound, round: 0, phase: phaseToTrieNode, leg: s.lr.Label(rootIdx)}
+	return &Search{Target: ext, Bound: bound, round: 0, phase: phaseToTrieNode, leg: s.lr.Label(0)}
 }
 
 // Action tells the driving engine what a step decided.
@@ -453,13 +456,16 @@ const (
 )
 
 // Step advances the search at graph node x. It consults only x's local
-// tables and the header.
+// tables and the header. The search carries its position from hop to
+// hop, so x's tables are read by tree index; x must be the member the
+// previous step forwarded to (the root on the first step).
 func (s *Scheme) Step(x graph.NodeID, h *Search) (Action, int, error) {
-	arrived, port, err := s.lr.Step(x, h.leg)
+	arrived, port, next, err := s.lr.Step(x, int(h.at), h.leg)
 	if err != nil {
 		return 0, 0, fmt.Errorf("nitree: %w", err)
 	}
 	if !arrived {
+		h.at = int32(next)
 		return Forward, port, nil
 	}
 	// We are at the end of a leg.
@@ -472,11 +478,7 @@ func (s *Scheme) Step(x graph.NodeID, h *Search) (Action, int, error) {
 		return ReportedNotFound, 0, nil
 	}
 	// At a trie node: make the local decision.
-	i, ok := s.t.Index(x)
-	if !ok {
-		return 0, 0, fmt.Errorf("nitree: trie node %d not a member", x)
-	}
-	p := int(s.posOf[i])
+	p := int(s.posOf[h.at])
 	h.round++
 	if e, hit := s.bucketFind(p, h.Target); hit {
 		if s.t.Graph().Name(x) == h.Target {
@@ -493,8 +495,7 @@ func (s *Scheme) Step(x graph.NodeID, h *Search) (Action, int, error) {
 			return ReportedNotFound, 0, nil
 		}
 		h.phase = phaseToRoot
-		rootIdx, _ := s.t.Index(s.t.Root())
-		h.leg = s.lr.Label(rootIdx)
+		h.leg = s.lr.Label(0)
 		return s.Step(x, h)
 	}
 	if h.round >= h.Bound {

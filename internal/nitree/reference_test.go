@@ -242,7 +242,10 @@ func (s *refScheme) runSearch(ext uint64, bound int) (bool, []graph.NodeID, erro
 	ph := phaseToTrieNode
 	round := 0
 	for steps := 0; steps <= 16*s.t.Len()*(s.k+1); steps++ {
-		arrived, port, err := s.lr.Step(cur, leg)
+		// The reference finds every hop's record through the member
+		// map, independently of the position Scheme.Step carries.
+		i, _ := s.t.Index(cur)
+		arrived, port, _, err := s.lr.Step(cur, i, leg)
 		if err != nil {
 			return false, path, err
 		}
@@ -257,7 +260,6 @@ func (s *refScheme) runSearch(ext uint64, bound int) (bool, []graph.NodeID, erro
 		case phaseToRoot:
 			return false, path, nil
 		}
-		i, _ := s.t.Index(cur)
 		st := &s.storage[i]
 		round++
 		if lbl, hit := st.bucket[ext]; hit {

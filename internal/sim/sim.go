@@ -10,6 +10,15 @@
 // state could not cheat the cost accounting, and a scheme that emitted
 // an invalid port is caught immediately.
 //
+// A real node holds its own record; a simulated step has to find x's
+// record among the scheme's arrays. The tree-based schemes keep their
+// position in the header for that: the index of x in the tree the
+// current leg runs on, updated with every forwarded port, so a step
+// reads x's record by index rather than hashing x into a per-tree map.
+// Header.Bits does not charge the position: given the tree, which the
+// header already names, it is a function of x and carries no
+// information. Each step still checks that the position names x.
+//
 // Measure is the stretch sweep over the engine — every strided source
 // row routed against every destination, rows fanned across workers —
 // that the facade's MeasureStretch, the experiment runners, and
@@ -69,7 +78,15 @@ type Result struct {
 	Path []graph.NodeID
 }
 
-// Engine drives routers over a fixed graph.
+// tracePathCap is the capacity a traced route's path starts with, so
+// one allocation holds a route of up to 31 hops. That covers the
+// routes the experiments take (the paper scheme at n=512, k=3: 13 hops
+// at the median, 30 at the most over 2,000 routes); a longer route
+// grows the path by appending.
+const tracePathCap = 32
+
+// Engine drives routers over a fixed graph. It holds no per-route
+// state, so one engine may drive any number of routes concurrently.
 type Engine struct {
 	g *graph.Graph
 	// MaxHops aborts runaway routes; 0 means 64·n·(log n + 1).
@@ -114,7 +131,8 @@ func (e *Engine) RouteCtx(ctx context.Context, r Router, src graph.NodeID, dstNa
 	}
 	res := Result{MaxHeaderBits: h.Bits()}
 	if e.Trace {
-		res.Path = append(res.Path, src)
+		res.Path = make([]graph.NodeID, 1, tracePathCap)
+		res.Path[0] = src
 	}
 	cancelable := ctx.Done() != nil
 	tr := obs.FromContext(ctx)

@@ -15,6 +15,12 @@
 // This sits at the k = O(log n) point of the lemma's storage/label
 // trade-off: O(log n)-word tables and labels, i.e. O(log² n) bits, the
 // Õ(1) regime every consumer in the paper needs.
+//
+// A walk carries its position: Step takes the tree index of the member
+// it runs at and returns the index of the member across the chosen
+// port, so each hop reads x's record by index instead of hashing x into
+// the tree's member map. The index is not charged in label or header
+// bits: given the tree, it is a function of x (see Step).
 package treeroute
 
 import (
@@ -157,35 +163,51 @@ func (s *Scheme) MaxLightHops() int {
 	return int(max)
 }
 
-// Step makes one routing decision at graph node x for a message headed
-// to lbl. It returns (arrived=true) when x is the destination, else the
-// graph port to forward on. Step consults only x's local record and the
-// label, preserving the distributed-routing discipline.
-func (s *Scheme) Step(x graph.NodeID, lbl Label) (arrived bool, port int, err error) {
-	i, ok := s.t.Index(x)
-	if !ok {
-		return false, 0, fmt.Errorf("treeroute: node %d is not a member", x)
+// Step makes one routing decision at graph node x, the member at tree
+// index at, for a message headed to lbl. It returns (arrived=true)
+// when x is the destination, else the graph port to forward on and
+// next, the tree index of the member across that port, which the
+// caller passes as at on the following step (next is at on arrival).
+// Step consults only x's local record and the label, preserving the
+// distributed-routing discipline.
+//
+// The position is how the walk finds x's record: a real node holds
+// its record, and a simulated one is found in the member arrays. It is
+// not charged in Label.Bits or in any header: given the tree, which
+// the header already names, it is a function of x and carries no
+// information. Step still checks that at names x, an array read that
+// stands in for the membership test, so a wrong position errors
+// rather than routing on a neighbour's record.
+func (s *Scheme) Step(x graph.NodeID, at int, lbl Label) (arrived bool, port, next int, err error) {
+	if at < 0 || at >= len(s.locals) || s.t.Node(at) != x {
+		return false, 0, 0, fmt.Errorf("treeroute: node %d is not the member at index %d", x, at)
 	}
-	lo := &s.locals[i]
+	lo := &s.locals[at]
 	switch {
 	case lbl.Pre == lo.pre:
-		return true, 0, nil
+		return true, 0, at, nil
 	case lbl.Pre < lo.pre || lbl.Pre >= lo.post:
 		// Destination outside our subtree: go up.
 		if lo.parentPort < 0 {
-			return false, 0, fmt.Errorf("treeroute: label %d not in tree rooted at %d", lbl.Pre, x)
+			return false, 0, 0, fmt.Errorf("treeroute: label %d not in tree rooted at %d", lbl.Pre, x)
 		}
-		return false, int(lo.parentPort), nil
+		return false, int(lo.parentPort), s.t.Parent(at), nil
 	case lo.heavyPre >= 0 && lbl.Pre >= lo.heavyPre && lbl.Pre < lo.heavyPost:
-		return false, int(lo.heavyPort), nil
+		return false, int(lo.heavyPort), s.t.Heavy(at), nil
 	default:
 		// Must be a light decision recorded in the label.
 		for _, lh := range lbl.Light {
-			if lh.ParentPre == lo.pre {
-				return false, int(lh.Port), nil
+			if lh.ParentPre != lo.pre {
+				continue
 			}
+			for _, c := range s.t.Children(at) {
+				if s.t.ChildPort(int(c)) == int(lh.Port) {
+					return false, int(lh.Port), int(c), nil
+				}
+			}
+			return false, 0, 0, fmt.Errorf("treeroute: light port %d at node %d leads to no child", lh.Port, x)
 		}
-		return false, 0, fmt.Errorf("treeroute: label has no light hop at node %d (pre %d)", x, lo.pre)
+		return false, 0, 0, fmt.Errorf("treeroute: label has no light hop at node %d (pre %d)", x, lo.pre)
 	}
 }
 
@@ -193,6 +215,10 @@ func (s *Scheme) Step(x graph.NodeID, lbl Label) (arrived bool, port int, err er
 // returning the node sequence (for tests; the simulator drives Step
 // directly). The cost of the returned path is the tree distance.
 func (s *Scheme) Route(src graph.NodeID, lbl Label) ([]graph.NodeID, error) {
+	at, ok := s.t.Index(src)
+	if !ok {
+		return nil, fmt.Errorf("treeroute: node %d is not a member", src)
+	}
 	g := s.t.Graph()
 	cur := src
 	path := []graph.NodeID{cur}
@@ -200,14 +226,14 @@ func (s *Scheme) Route(src graph.NodeID, lbl Label) ([]graph.NodeID, error) {
 		if hop > 2*s.t.Len() {
 			return nil, fmt.Errorf("treeroute: routing loop from %d", src)
 		}
-		done, port, err := s.Step(cur, lbl)
+		done, port, next, err := s.Step(cur, at, lbl)
 		if err != nil {
 			return nil, err
 		}
 		if done {
 			return path, nil
 		}
-		cur = g.EdgeAt(cur, port).To
+		cur, at = g.EdgeAt(cur, port).To, next
 		path = append(path, cur)
 	}
 }

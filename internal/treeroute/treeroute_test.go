@@ -126,8 +126,95 @@ func TestStepRejectsNonMember(t *testing.T) {
 	r := sssp.From(g, 1)
 	tr, _ := tree.FromPaths(g, 1, r.Parent, []graph.NodeID{2})
 	s := New(tr)
-	if _, _, err := s.Step(5, s.Label(0)); err == nil {
-		t.Fatal("Step on non-member did not error")
+	// No position, in range or not, names a node outside the tree.
+	for at := -1; at <= tr.Len(); at++ {
+		if _, _, _, err := s.Step(5, at, s.Label(0)); err == nil {
+			t.Fatalf("Step on non-member at position %d did not error", at)
+		}
+	}
+	// A position naming a different member must not route on that
+	// member's record.
+	for at := 0; at < tr.Len(); at++ {
+		for other := 0; other < tr.Len(); other++ {
+			if other == at {
+				continue
+			}
+			if _, _, _, err := s.Step(tr.Node(at), other, s.Label(0)); err == nil {
+				t.Fatalf("Step at member %d with the position of member %d did not error", at, other)
+			}
+		}
+	}
+}
+
+// treePath returns the tree path between members a and b as graph
+// nodes, read off the parent links.
+func treePath(tr *tree.Tree, a, b int) []graph.NodeID {
+	l := tr.LCA(a, b)
+	var up, down []graph.NodeID
+	for i := a; i != l; i = tr.Parent(i) {
+		up = append(up, tr.Node(i))
+	}
+	for i := b; i != l; i = tr.Parent(i) {
+		down = append(down, tr.Node(i))
+	}
+	up = append(up, tr.Node(l))
+	slices.Reverse(down)
+	return append(up, down...)
+}
+
+// TestStepCarriesPosition walks every member pair with Step from the
+// source's tree index: each returned next must be the tree index of
+// the node across the returned port, and the walk must be Route's
+// path, which is the tree path.
+func TestStepCarriesPosition(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *tree.Tree
+	}{
+		{"gnp", buildSPT(t, gen.Gnp(21, 60, 0.07, gen.Uniform(1, 9)), 5)},
+		{"path", buildSPT(t, gen.Path(22, 20, gen.Uniform(1, 3)), 7)},
+		{"star", buildSPT(t, gen.Star(23, 15, gen.Uniform(1, 5)), 0)},
+		{"leafstar", buildSPT(t, gen.Star(24, 15, gen.Uniform(1, 5)), 4)},
+		{"balanced", buildSPT(t, gen.BalancedTree(25, 3, 3, gen.Uniform(1, 2)), 0)},
+	} {
+		name, tr := c.name, c.tr
+		s := New(tr)
+		g := tr.Graph()
+		for a := 0; a < tr.Len(); a++ {
+			for b := 0; b < tr.Len(); b++ {
+				lbl := s.Label(b)
+				cur, at := tr.Node(a), a
+				walk := []graph.NodeID{cur}
+				for hop := 0; ; hop++ {
+					if hop > 2*tr.Len() {
+						t.Fatalf("%s %d→%d: routing loop", name, a, b)
+					}
+					arrived, port, next, err := s.Step(cur, at, lbl)
+					if err != nil {
+						t.Fatalf("%s %d→%d: %v", name, a, b, err)
+					}
+					if arrived {
+						if next != at {
+							t.Fatalf("%s %d→%d: arrived with next %d, want %d", name, a, b, next, at)
+						}
+						break
+					}
+					cur = g.EdgeAt(cur, port).To
+					if want, ok := tr.Index(cur); !ok || next != want {
+						t.Fatalf("%s %d→%d: next %d, but port %d leads to member %d (%t)", name, a, b, next, port, want, ok)
+					}
+					at = next
+					walk = append(walk, cur)
+				}
+				route, err := s.Route(tr.Node(a), lbl)
+				if err != nil {
+					t.Fatalf("%s %d→%d: Route: %v", name, a, b, err)
+				}
+				if !slices.Equal(walk, route) || !slices.Equal(walk, treePath(tr, a, b)) {
+					t.Fatalf("%s %d→%d: walk %v, Route %v, tree path %v", name, a, b, walk, route, treePath(tr, a, b))
+				}
+			}
+		}
 	}
 }
 
