@@ -84,8 +84,8 @@ bench:
 # tee would mask a routebench failure behind tee's exit status), then
 # shown and checked non-empty. D2, T1 and T4 are gates instead: their
 # quick runs are deterministic (the same bytes on every run and at any
-# GOMAXPROCS), so each regenerated table must equal its committed
-# BENCH_*.json.
+# GOMAXPROCS), so each regenerated table, on one core and on all of
+# them, must equal its committed BENCH_*.json.
 benchjson:
 	$(GO) run ./cmd/routebench -exp P1 -quick -json > BENCH_P1.json
 	@cat BENCH_P1.json
@@ -96,12 +96,12 @@ benchjson:
 	$(GO) run ./cmd/routebench -exp D1 -quick -json > BENCH_D1.json
 	@cat BENCH_D1.json
 	@test -s BENCH_D1.json || { echo "benchjson: empty BENCH_D1.json" >&2; exit 1; }
-	@for exp in D2 T1 T4; do \
+	@for procs in 1 $$(nproc); do for exp in D2 T1 T4; do \
 		tmp=$$(mktemp); \
-		$(GO) run ./cmd/routebench -exp $$exp -quick -json > $$tmp && cat $$tmp && cmp BENCH_$$exp.json $$tmp; \
+		GOMAXPROCS=$$procs $(GO) run ./cmd/routebench -exp $$exp -quick -json > $$tmp && cat $$tmp && cmp BENCH_$$exp.json $$tmp; \
 		st=$$?; rm -f $$tmp; \
-		[ $$st -eq 0 ] || { echo "benchjson: $$exp did not reproduce the committed BENCH_$$exp.json" >&2; exit 1; }; \
-	done
+		[ $$st -eq 0 ] || { echo "benchjson: $$exp at GOMAXPROCS=$$procs did not reproduce the committed BENCH_$$exp.json" >&2; exit 1; }; \
+	done; done
 	$(GO) run ./cmd/routebench -exp S1 -quick -json > BENCH_S1.json
 	@cat BENCH_S1.json
 	@test -s BENCH_S1.json || { echo "benchjson: empty BENCH_S1.json" >&2; exit 1; }

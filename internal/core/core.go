@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"compactroute/internal/bitsize"
 	"compactroute/internal/cover"
@@ -248,7 +249,6 @@ func BuildWithAPSP(g *graph.Graph, all []*sssp.Result, p Params) (*Scheme, error
 	if err := s.buildDenseSide(p); err != nil {
 		return nil, err
 	}
-	s.computeBounds()
 	s.cacheSelfLabels()
 	s.account()
 	return s, nil
@@ -294,63 +294,62 @@ func (s *Scheme) classifyLevels() error {
 }
 
 // buildSparseSide materializes the landmark trees T(c) with their
-// Lemma 4 tries, forcing coverage where Lemma 3 failed.
+// Lemma 4 tries and the search bounds b(u,i), forcing coverage where
+// Lemma 3 failed.
 //
 // Per §3.2 a tree exists for *every* landmark in anyone's S set (not
 // only the centers some node actually routes through); this keeps the
 // storage profile independent of the aspect ratio, since the S sets
 // are metric-local and Δ-free.
+//
+// Each center is one pass, independent and deterministic (each trie is
+// seeded from its center's id), so the centers fan out. A pass gathers
+// the tree's targets, builds the tree and its trie, and sets b(u,i) for
+// the phases searching through it; each (u,i) has one center, so no two
+// passes write the same level.
 func (s *Scheme) buildSparseSide(all []*sssp.Result, p Params) error {
-	need := make(map[graph.NodeID]map[graph.NodeID]bool)
-	for _, c := range s.lm.Landmarks() {
-		m := make(map[graph.NodeID]bool)
-		for _, v := range s.lm.Members(c) {
-			m[v] = true
-		}
-		need[c] = m
-	}
-	// Add every E(u,i) the router will search through a center (the
-	// constructive Lemma 3 repair) and the sources themselves.
-	for u := 0; u < s.g.N(); u++ {
-		for i := 0; i <= s.k; i++ {
-			info := &s.levels[u][i]
-			if info.dense || info.skip {
-				continue
-			}
-			c := info.center
-			m, ok := need[c]
-			if !ok {
-				m = make(map[graph.NodeID]bool)
-				need[c] = m
-			}
-			// u itself must be a member to hold its return label.
-			if !m[graph.NodeID(u)] {
-				m[graph.NodeID(u)] = true
-				s.Report.ForcedMembers++
-			}
-			for _, v := range s.dec.E(graph.NodeID(u), i) {
-				if !m[v] {
-					m[v] = true
-					s.Report.ForcedMembers++
-				}
-			}
+	n := s.g.N()
+	phases := s.lm.GroupByCenter(func(u graph.NodeID, i int) bool {
+		info := &s.levels[u][i]
+		return !info.dense && !info.skip
+	})
+	var centers []graph.NodeID
+	for c := graph.NodeID(0); int(c) < n; c++ {
+		if len(s.lm.Members(c)) > 0 || len(phases.Of(c)) > 0 {
+			centers = append(centers, c)
 		}
 	}
-	// Tree construction per center is independent and deterministic
-	// (each trie is seeded from its center's id), so fan out.
-	centers := make([]graph.NodeID, 0, len(need))
-	for c := range need {
-		centers = append(centers, c)
-	}
-	sort.Slice(centers, func(i, j int) bool { return centers[i] < centers[j] })
 	built := make([]*landmarkTree, len(centers))
+	forced := make([]int, len(centers))
 	errs := make([]error, len(centers))
 	sssp.ParallelFor(len(centers), 0, func(ci int) {
 		c := centers[ci]
-		members := need[c]
-		targets := make([]graph.NodeID, 0, len(members))
-		for v := range members {
-			targets = append(targets, v)
+		sc := centerScratchPool.Get().(*centerScratch)
+		if len(sc.mark) < n {
+			sc.mark = make([]int32, n)
+		}
+		// mark[v] is nonzero once v is a target; once the tree is
+		// built it holds 1 + v's tree index.
+		mark := sc.mark
+		targets := append(sc.targets[:0], s.lm.Members(c)...)
+		for _, v := range targets {
+			mark[v] = -1
+		}
+		// Every E(u,i) the router will search through c (the
+		// constructive Lemma 3 repair) and the sources themselves,
+		// which hold their return labels, join the members.
+		force := func(v graph.NodeID) {
+			if mark[v] == 0 {
+				mark[v] = -1
+				targets = append(targets, v)
+				forced[ci]++
+			}
+		}
+		for _, ph := range phases.Of(c) {
+			force(ph.U)
+			for _, v := range s.dec.E(ph.U, int(ph.I)) {
+				force(v)
+			}
 		}
 		t, err := tree.FromPaths(s.g, c, all[c].Parent, targets)
 		if err != nil {
@@ -359,7 +358,7 @@ func (s *Scheme) buildSparseSide(all []*sssp.Result, p Params) error {
 		}
 		ni, err := nitree.New(t, nitree.Params{
 			K:          s.k,
-			UniverseN:  s.g.N(),
+			UniverseN:  n,
 			LoadFactor: p.LoadFactor,
 			Seed:       xrand.Hash64(p.Seed, uint64(c)),
 		})
@@ -368,11 +367,40 @@ func (s *Scheme) buildSparseSide(all []*sssp.Result, p Params) error {
 			return
 		}
 		built[ci] = &landmarkTree{t: t, ni: ni}
+		// b(u,i): the minimal trie depth finding all of E(u,i) in
+		// T(c) (§3.1), from the bounds the trie recorded while
+		// filling its buckets.
+		for i := 0; i < t.Len(); i++ {
+			mark[t.Node(i)] = int32(i) + 1
+		}
+		for _, ph := range phases.Of(c) {
+			b := 1
+			for _, v := range s.dec.E(ph.U, int(ph.I)) {
+				mb := 0
+				if ti := mark[v]; ti > 0 {
+					mb = ni.MinBoundOf(int(ti) - 1)
+				}
+				if mb == 0 {
+					// Unreachable: E(u,i) was forced into the tree.
+					mb = s.k
+				}
+				if mb > b {
+					b = mb
+				}
+			}
+			s.levels[ph.U][ph.I].bound = uint8(b)
+		}
+		for i := 0; i < t.Len(); i++ {
+			mark[t.Node(i)] = 0
+		}
+		sc.targets = targets
+		centerScratchPool.Put(sc)
 	})
 	for ci, err := range errs {
 		if err != nil {
 			return err
 		}
+		s.Report.ForcedMembers += forced[ci]
 		if built[ci].ni.LoadViolation {
 			s.Report.TrieLoadViolations++
 		}
@@ -381,6 +409,17 @@ func (s *Scheme) buildSparseSide(all []*sssp.Result, p Params) error {
 	s.Report.LandmarkTrees = len(s.trees)
 	return nil
 }
+
+// centerScratch is one landmark pass's working memory, pooled for the
+// reason tree's constructor pools its own: arrays of a tree's size
+// freed among the arrays the scheme keeps would scatter those over more
+// pages, which the walk pays for. A pass that fails drops its scratch.
+type centerScratch struct {
+	mark    []int32 // per graph id; all zero between passes
+	targets []graph.NodeID
+}
+
+var centerScratchPool = sync.Pool{New: func() any { return new(centerScratch) }}
 
 // buildDenseSide materializes the covers of the scales dense levels
 // use and resolves each (u,i) to its home tree W(u,i).
@@ -449,37 +488,6 @@ func (s *Scheme) buildDenseSide(p Params) error {
 		}
 	}
 	return nil
-}
-
-// computeBounds fills b(u,i): the minimal trie depth finding all of
-// E(u,i) in T(c(u,i)) (§3.1), from the bounds each trie recorded while
-// filling its buckets. Each u writes only its own levels, so the nodes
-// fan out.
-func (s *Scheme) computeBounds() {
-	sssp.ParallelFor(s.g.N(), 0, func(u int) {
-		for i := 0; i <= s.k; i++ {
-			info := &s.levels[u][i]
-			if info.dense || info.skip {
-				continue
-			}
-			lt := s.trees[info.center]
-			b := 1
-			for _, v := range s.dec.E(graph.NodeID(u), i) {
-				mb := 0
-				if idx, ok := lt.t.Index(v); ok {
-					mb = lt.ni.MinBoundOf(idx)
-				}
-				if mb == 0 {
-					// Unreachable: E(u,i) was forced into the tree.
-					mb = s.k
-				}
-				if mb > b {
-					b = mb
-				}
-			}
-			info.bound = uint8(b)
-		}
-	})
 }
 
 // cacheSelfLabels stores λ(T(c(u,i)), u) per sparse level: the return

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"compactroute/internal/bitsize"
 	"compactroute/internal/graph"
+	"compactroute/internal/sssp"
 )
 
 // account charges every stored word to its node, reproducing the
@@ -39,11 +42,27 @@ func (s *Scheme) account() {
 			}
 		}
 	}
-	// τ(T(c), x) for every member x of every landmark tree.
-	for _, lt := range s.trees {
-		for i := 0; i < lt.t.Len(); i++ {
-			x := int(lt.t.Node(i))
-			s.acct.Add(x, "landmark-trees", lt.ni.StorageBits(i))
+	// τ(T(c), x) for every member x of every landmark tree. The trees
+	// price their members independently, so they fan out; the charges
+	// are then added in center order.
+	centers := make([]graph.NodeID, 0, len(s.trees))
+	for c := range s.trees {
+		centers = append(centers, c)
+	}
+	slices.Sort(centers)
+	treeBits := make([][]bitsize.Bits, len(centers))
+	sssp.ParallelFor(len(centers), 0, func(ci int) {
+		lt := s.trees[centers[ci]]
+		bits := make([]bitsize.Bits, lt.t.Len())
+		for i := range bits {
+			bits[i] = lt.ni.StorageBits(i)
+		}
+		treeBits[ci] = bits
+	})
+	for ci, c := range centers {
+		t := s.trees[c].t
+		for i, b := range treeBits[ci] {
+			s.acct.Add(int(t.Node(i)), "landmark-trees", b)
 		}
 	}
 	// φ(T, x) for every member of every cover tree.

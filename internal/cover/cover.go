@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"compactroute/internal/graph"
+	"compactroute/internal/sssp"
 	"compactroute/internal/tree"
 )
 
@@ -90,13 +91,14 @@ func Build(g *graph.Graph, p Params) (*Cover, error) {
 	growth := math.Pow(float64(universe), 1/float64(p.K))
 
 	// Precompute B(v,ρ) within the induced subgraph for every member,
-	// by truncated member-filtered Dijkstra.
+	// by truncated member-filtered Dijkstra; the balls are independent,
+	// so the members fan out.
 	balls := make([][]graph.NodeID, n)
-	for v := 0; v < n; v++ {
+	sssp.ParallelFor(n, 0, func(v int) {
 		if member[v] {
 			balls[v] = filteredBall(g, graph.NodeID(v), member, p.Rho)
 		}
-	}
+	})
 
 	c := &Cover{
 		g:          g,
@@ -276,20 +278,14 @@ func clusterTree(g *graph.Graph, center graph.NodeID, member []bool, maxEdge flo
 			return true
 		})
 	}
-	b := tree.NewBuilder(g, center)
-	for v := 0; v < n; v++ {
-		if member[v] && parent[v] >= 0 {
-			if err := b.Add(graph.NodeID(v), parent[v]); err != nil {
-				return nil, err
-			}
-		}
-	}
 	for v := 0; v < n; v++ {
 		if member[v] && graph.NodeID(v) != center && parent[v] < 0 {
 			return nil, fmt.Errorf("cover: cluster member %d unreachable over light edges", v)
 		}
 	}
-	return b.Build()
+	// Only members are ever relaxed, so the reached nodes are exactly
+	// the cluster.
+	return tree.FromSPT(g, center, parent)
 }
 
 // Rho returns the covered radius ρ.

@@ -13,18 +13,19 @@
 // Claims 1 and 2 (hitting and congestion of the sampled sets) hold
 // with high probability; VerifyClaim1/VerifyClaim2 measure them on the
 // actual instance, and VerifyLemma3 measures the sparse-neighborhood
-// property they imply. To make routing deterministically complete, the
-// S-set capacity at the top occupied rank is raised (if ever needed)
-// so that every node's S contains *all* top-rank landmarks: the
-// terminal phase of the routing scheme then always has a spanning tree
-// to search (DESIGN.md substitution #1/#5).
+// property they imply, one center at a time: GroupByCenter lists the
+// phases (u, i) searching through each center c(u, i), and the check
+// marks c's members once for all of them. To make routing
+// deterministically complete, the S-set capacity at the top occupied
+// rank is raised (if ever needed) so that every node's S contains *all*
+// top-rank landmarks: the terminal phase of the routing scheme then
+// always has a spanning tree to search (DESIGN.md substitution #1/#5).
 package landmark
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"compactroute/internal/decomp"
 	"compactroute/internal/graph"
@@ -136,33 +137,31 @@ func Build(g *graph.Graph, all []*sssp.Result, dec *decomp.Decomposition, p Para
 	return h, nil
 }
 
+// computeS fills the S sets, each u's independently (the nodes fan
+// out), then the members transpose in u order: a last-seen mark lists
+// each u once per landmark, so every list comes out ascending.
 func (h *Hierarchy) computeS() {
 	n := h.g.N()
 	h.s = make([][][]graph.NodeID, n)
-	h.members = make(map[graph.NodeID][]graph.NodeID)
-	for u := 0; u < n; u++ {
+	sssp.ParallelFor(n, 0, func(u int) {
 		h.s[u] = make([][]graph.NodeID, h.top+1)
-		seen := make(map[graph.NodeID]bool)
 		for i := 0; i <= h.top; i++ {
-			cap := h.sCap
-			if i == h.top {
-				cap = h.sCapTop
-			}
-			set := h.all[u].Closest(cap, func(v graph.NodeID) bool {
+			h.s[u][i] = h.all[u].Closest(h.SCapAt(i), func(v graph.NodeID) bool {
 				return int(h.rank[v]) >= i
 			})
-			h.s[u][i] = set
+		}
+	})
+	h.members = make(map[graph.NodeID][]graph.NodeID)
+	lastSeen := make([]int32, n) // 1 + the last u whose S listed c
+	for u := 0; u < n; u++ {
+		for _, set := range h.s[u] {
 			for _, c := range set {
-				if !seen[c] {
-					seen[c] = true
+				if lastSeen[c] != int32(u)+1 {
+					lastSeen[c] = int32(u) + 1
 					h.members[c] = append(h.members[c], graph.NodeID(u))
 				}
 			}
 		}
-	}
-	for c := range h.members {
-		m := h.members[c]
-		sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
 	}
 }
 
@@ -234,7 +233,9 @@ func (h *Hierarchy) S(u graph.NodeID, i int) []graph.NodeID {
 	return h.s[u][i]
 }
 
-// InS reports whether c ∈ S(u) = ∪_i S(u,i).
+// InS reports whether c ∈ S(u) = ∪_i S(u,i). The build checks Lemma 3
+// per center instead (VerifyLemma3); InS is the per-pair form tests
+// check it against.
 func (h *Hierarchy) InS(u, c graph.NodeID) bool {
 	_, ok := slices.BinarySearch(h.members[c], u)
 	return ok
@@ -243,17 +244,6 @@ func (h *Hierarchy) InS(u, c graph.NodeID) bool {
 // Members returns {v : c ∈ S(v)}, sorted — the span of the landmark
 // tree T(c) (do not mutate).
 func (h *Hierarchy) Members(c graph.NodeID) []graph.NodeID { return h.members[c] }
-
-// Landmarks returns every node that appears in some S set (the roots
-// of the landmark trees), sorted.
-func (h *Hierarchy) Landmarks() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(h.members))
-	for c := range h.members {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // M returns m(u,i), the highest rank present in A(u,i).
 func (h *Hierarchy) M(u graph.NodeID, i int) int { return int(h.mRank[u][i]) }
@@ -325,34 +315,90 @@ func (h *Hierarchy) VerifyClaim2(dec *decomp.Decomposition) (checked, violations
 	return checked, violations
 }
 
+// Phase is one (u, i) pair: node u's search at level i.
+type Phase struct {
+	U graph.NodeID
+	I int32
+}
+
+// Phases groups (u, i) phases by their center c(u, i) as a CSR: center
+// c's phases are Of(c), in (u, i) order.
+type Phases struct {
+	off    []int32 // c's phases are phases[off[c]:off[c+1]]
+	phases []Phase
+}
+
+// Of returns the phases whose center is c (do not mutate).
+func (p *Phases) Of(c graph.NodeID) []Phase {
+	lo, hi := p.off[c], p.off[c+1]
+	return p.phases[lo:hi:hi]
+}
+
+// GroupByCenter groups the phases (u, i), i ∈ 0..k, that sparse selects
+// by their center c(u, i): counts per center, prefix sums, then a fill
+// in u order.
+func (h *Hierarchy) GroupByCenter(sparse func(u graph.NodeID, i int) bool) *Phases {
+	n := h.g.N()
+	p := &Phases{off: make([]int32, n+1)}
+	for u := 0; u < n; u++ {
+		for i := 0; i <= h.k; i++ {
+			if sparse(graph.NodeID(u), i) {
+				p.off[h.centers[u][i]+1]++
+			}
+		}
+	}
+	for c := 1; c <= n; c++ {
+		p.off[c] += p.off[c-1]
+	}
+	p.phases = make([]Phase, p.off[n])
+	next := slices.Clone(p.off[:n])
+	for u := 0; u < n; u++ {
+		for i := 0; i <= h.k; i++ {
+			if sparse(graph.NodeID(u), i) {
+				c := h.centers[u][i]
+				p.phases[next[c]] = Phase{U: graph.NodeID(u), I: int32(i)}
+				next[c]++
+			}
+		}
+	}
+	return p
+}
+
 // VerifyLemma3 checks the sparse-neighborhood property on the
 // instance: for every u, sparse level i, and v ∈ E(u,i), the center
 // c(u,i) lies in S(v). Returns triples checked and failures. Failures
 // are possible in principle (the lemma is whp) — the routing scheme
-// repairs them constructively; see core. The nodes fan out, each
-// counting its own triples.
+// repairs them constructively; see core. The check runs per center:
+// the centers fan out, each marks its members {v : c ∈ S(v)} once, so
+// every v ∈ E(u,i) of its phases is one load; the integer counts are
+// summed in center order.
 func (h *Hierarchy) VerifyLemma3(dec *decomp.Decomposition) (checked, violations int) {
 	n := h.g.N()
+	byCenter := h.GroupByCenter(func(u graph.NodeID, i int) bool { return !dec.Dense(u, i) })
 	checkedAt, violationsAt := make([]int, n), make([]int, n)
-	sssp.ParallelFor(n, 0, func(u int) {
+	sssp.ParallelFor(n, 0, func(c int) {
+		phases := byCenter.Of(graph.NodeID(c))
+		if len(phases) == 0 {
+			return
+		}
+		inS := make([]bool, n)
+		for _, v := range h.members[graph.NodeID(c)] {
+			inS[v] = true
+		}
 		checked, violations := 0, 0
-		for i := 0; i <= h.k; i++ {
-			if dec.Dense(graph.NodeID(u), i) {
-				continue
-			}
-			c := h.Center(graph.NodeID(u), i)
-			for _, v := range dec.E(graph.NodeID(u), i) {
+		for _, ph := range phases {
+			for _, v := range dec.E(ph.U, int(ph.I)) {
 				checked++
-				if !h.InS(v, c) {
+				if !inS[v] {
 					violations++
 				}
 			}
 		}
-		checkedAt[u], violationsAt[u] = checked, violations
+		checkedAt[c], violationsAt[c] = checked, violations
 	})
-	for u := 0; u < n; u++ {
-		checked += checkedAt[u]
-		violations += violationsAt[u]
+	for c := 0; c < n; c++ {
+		checked += checkedAt[c]
+		violations += violationsAt[c]
 	}
 	return checked, violations
 }

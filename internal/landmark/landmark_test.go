@@ -11,12 +11,17 @@ import (
 
 func build(t *testing.T, g *graph.Graph, k int, sFactor float64, seed uint64) (*Hierarchy, *decomp.Decomposition) {
 	t.Helper()
+	return buildWith(t, g, Params{K: k, SFactor: sFactor, Seed: seed})
+}
+
+func buildWith(t *testing.T, g *graph.Graph, p Params) (*Hierarchy, *decomp.Decomposition) {
+	t.Helper()
 	all := sssp.AllPairs(g)
-	dec, err := decomp.Build(g, all, decomp.Params{K: k})
+	dec, err := decomp.Build(g, all, decomp.Params{K: p.K})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Build(g, all, dec, Params{K: k, SFactor: sFactor, Seed: seed})
+	h, err := Build(g, all, dec, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestSSetsAreClosestLandmarks(t *testing.T) {
 func TestInSMatchesMembers(t *testing.T) {
 	g := gen.Geometric(4, 60, 0.25)
 	h, _ := build(t, g, 2, 0.2, 5)
-	for _, c := range h.Landmarks() {
+	for c := graph.NodeID(0); int(c) < g.N(); c++ {
 		for _, v := range h.Members(c) {
 			if !h.InS(v, c) {
 				t.Fatalf("Members/InS disagree for c=%d v=%d", c, v)

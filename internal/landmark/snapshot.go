@@ -12,8 +12,8 @@ import (
 // members transpose are excluded: they can be Θ(n²) at small k, exist
 // to seed tree construction, and the enclosing scheme persists the
 // materialized trees themselves. A rehydrated hierarchy answers Rank,
-// TopRank, SCap/SCapAt, M, and Center; S, Members, InS, and Landmarks
-// report empty.
+// TopRank, SCap/SCapAt, M, and Center; S, Members, and InS report
+// empty.
 type Snapshot struct {
 	K       int
 	Rank    []int8

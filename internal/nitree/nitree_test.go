@@ -218,7 +218,7 @@ func TestSearchForRootItself(t *testing.T) {
 
 func TestSingleNodeTree(t *testing.T) {
 	g := gen.Path(8, 1, gen.Unit())
-	tr, err := tree.NewBuilder(g, 0).Build()
+	tr, err := tree.FromSPT(g, 0, sssp.From(g, 0).Parent)
 	if err != nil {
 		t.Fatal(err)
 	}

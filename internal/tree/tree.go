@@ -8,12 +8,20 @@
 // data the lemmas reason about (weighted depth, radius, heaviest edge)
 // and the combinatorial data the routing schemes need (DFS intervals,
 // heavy children, members ordered by root distance).
+//
+// Every tree comes from one constructor over a parent array indexed by
+// graph id and an ascending member list (FromSPT, FromPaths,
+// FromSnapshot), so one parent relation always freezes into the same
+// tree: BFS indices with siblings in ascending id, the lightest edge
+// between each parent and child.
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"compactroute/internal/graph"
 )
@@ -39,40 +47,84 @@ type Tree struct {
 	byDepth   []int32 // tree indices sorted by (depth, name)
 }
 
-// Builder accumulates tree edges before freezing.
-type Builder struct {
-	g      *graph.Graph
-	root   graph.NodeID
-	parent map[graph.NodeID]graph.NodeID
+// scratch is the working memory of one tree construction. It is
+// pooled instead of allocated per tree: a scheme build freezes a tree
+// for every landmark, and working arrays of a tree's own size, freed
+// among the arrays the tree keeps, would scatter those over more memory
+// pages, which every walk over the built scheme then pays for.
+type scratch struct {
+	mark   []int32        // per graph id; all zero between constructions
+	parent []graph.NodeID // per graph id: FromSnapshot's parent relation
+	ids    []graph.NodeID // the member list
+	kids   []graph.NodeID // the members grouped by parent
+	offs   []int32        // per-parent child offsets, then fill cursors
 }
 
-// NewBuilder starts a tree rooted at root.
-func NewBuilder(g *graph.Graph, root graph.NodeID) *Builder {
-	return &Builder{g: g, root: root, parent: make(map[graph.NodeID]graph.NodeID)}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a pooled scratch covering graph ids below n.
+func getScratch(n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if len(sc.mark) < n {
+		sc.mark = make([]int32, n)
+	}
+	return sc
 }
 
-// Add declares that child's tree parent is parent. The two must be
-// adjacent in the graph; the lightest connecting edge is used.
-func (b *Builder) Add(child, parent graph.NodeID) error {
-	if child == b.root {
-		return fmt.Errorf("tree: root %d cannot have a parent", child)
+// fromParents is the one constructor every tree comes from. members
+// lists every member but the root, in ascending graph id, and parent
+// maps each of them (indexed by graph id) to its parent's graph id,
+// which must be the root or another member. Nodes are indexed in BFS
+// order from the root with siblings in ascending id, and each tree edge
+// is the lightest edge between its ends, so one parent relation always
+// freezes into one tree.
+func fromParents(sc *scratch, g *graph.Graph, root graph.NodeID, parent, members []graph.NodeID) (*Tree, error) {
+	m := len(members)
+	n := m + 1
+	// slot[v] is 1 + v's position in members (m+1 for the root, 0 for a
+	// non-member); kids[start[q]:start[q+1]] are the children of the
+	// node at position q, ascending because members is.
+	slot := sc.mark
+	defer func() {
+		slot[root] = 0
+		for _, v := range members {
+			slot[v] = 0
+		}
+	}()
+	slot[root] = int32(n)
+	for q, v := range members {
+		if v == root {
+			return nil, fmt.Errorf("tree: root %d cannot have a parent", v)
+		}
+		if slot[v] != 0 {
+			return nil, fmt.Errorf("tree: node %d listed twice", v)
+		}
+		slot[v] = int32(q) + 1
 	}
-	if !b.g.Adjacent(child, parent) {
-		return fmt.Errorf("tree: %d and %d are not adjacent", child, parent)
+	sc.offs = slices.Grow(sc.offs[:0], 2*n+1)[:2*n+1]
+	start, next := sc.offs[:n+1], sc.offs[n+1:]
+	clear(start)
+	for _, v := range members {
+		p := parent[v]
+		if p < 0 || int(p) >= len(slot) || slot[p] == 0 {
+			return nil, fmt.Errorf("tree: parent %d of node %d is not a member", p, v)
+		}
+		start[slot[p]]++
 	}
-	if old, ok := b.parent[child]; ok && old != parent {
-		return fmt.Errorf("tree: node %d already has parent %d", child, old)
+	for q := 1; q <= n; q++ {
+		start[q] += start[q-1]
 	}
-	b.parent[child] = parent
-	return nil
-}
+	sc.kids = slices.Grow(sc.kids[:0], m)[:m]
+	kids := sc.kids
+	copy(next, start[:n])
+	for _, v := range members {
+		q := slot[parent[v]] - 1
+		kids[next[q]] = v
+		next[q]++
+	}
 
-// Build validates and freezes the tree. Every added node must reach the
-// root through parent links.
-func (b *Builder) Build() (*Tree, error) {
-	n := len(b.parent) + 1
 	t := &Tree{
-		g:          b.g,
+		g:          g,
 		nodes:      make([]graph.NodeID, 0, n),
 		idx:        make(map[graph.NodeID]int32, n),
 		parent:     make([]int32, 0, n),
@@ -81,22 +133,17 @@ func (b *Builder) Build() (*Tree, error) {
 		edgeW:      make([]float64, 0, n),
 		depth:      make([]float64, 0, n),
 	}
-	// Index nodes in BFS order from the root so parents precede
-	// children; this also validates connectivity.
-	kids := make(map[graph.NodeID][]graph.NodeID, n)
-	for c, p := range b.parent {
-		kids[p] = append(kids[p], c)
-	}
-	for p := range kids {
-		sort.Slice(kids[p], func(i, j int) bool { return kids[p][i] < kids[p][j] })
-	}
-	t.push(b.root, -1, -1, -1, 0, 0)
+	t.push(root, -1, -1, -1, 0, 0)
 	for qi := 0; qi < len(t.nodes); qi++ {
 		u := t.nodes[qi]
-		for _, c := range kids[u] {
-			port := b.g.PortTo(c, u)
-			e := b.g.EdgeAt(c, port)
-			t.push(c, int32(qi), int32(port), int32(b.g.ReversePort(c, port)),
+		q := slot[u] - 1
+		for _, c := range kids[start[q]:start[q+1]] {
+			port := g.PortTo(c, u)
+			if port < 0 {
+				return nil, fmt.Errorf("tree: %d and %d are not adjacent", c, u)
+			}
+			e := g.EdgeAt(c, port)
+			t.push(c, int32(qi), int32(port), int32(g.ReversePort(c, port)),
 				e.Weight, t.depth[qi]+e.Weight)
 		}
 	}
@@ -193,49 +240,66 @@ func (t *Tree) finish() {
 	for i := range t.byDepth {
 		t.byDepth[i] = int32(i)
 	}
-	sort.SliceStable(t.byDepth, func(a, b int) bool {
-		i, j := t.byDepth[a], t.byDepth[b]
-		if t.depth[i] != t.depth[j] {
-			return t.depth[i] < t.depth[j]
+	slices.SortFunc(t.byDepth, func(i, j int32) int {
+		if c := cmp.Compare(t.depth[i], t.depth[j]); c != 0 {
+			return c
 		}
-		return t.g.Name(t.nodes[i]) < t.g.Name(t.nodes[j])
+		return cmp.Compare(t.g.Name(t.nodes[i]), t.g.Name(t.nodes[j]))
 	})
 }
 
 // FromSPT builds the full shortest-path tree of a Dijkstra result,
 // restricted to its reached component.
 func FromSPT(g *graph.Graph, src graph.NodeID, parent []graph.NodeID) (*Tree, error) {
-	b := NewBuilder(g, src)
-	for v := range parent {
-		if parent[v] >= 0 {
-			if err := b.Add(graph.NodeID(v), parent[v]); err != nil {
-				return nil, err
-			}
+	sc := getScratch(g.N())
+	defer scratchPool.Put(sc)
+	members := sc.ids[:0]
+	for v, p := range parent {
+		if p >= 0 {
+			members = append(members, graph.NodeID(v))
 		}
 	}
-	return b.Build()
+	sc.ids = members
+	return fromParents(sc, g, src, parent, members)
 }
 
 // FromPaths builds the union of root→target shortest paths: the
 // "minimum cost path tree spanning" a target set, as used for the
 // landmark trees T(c(u,i)) in §3.1. Intermediate path nodes become tree
 // members too (they must store routing state for the tree to work).
+// The tree depends on the target set only, not on its order.
 func FromPaths(g *graph.Graph, src graph.NodeID, parent []graph.NodeID, targets []graph.NodeID) (*Tree, error) {
-	b := NewBuilder(g, src)
-	added := make(map[graph.NodeID]bool, len(targets))
-	added[src] = true
+	sc := getScratch(g.N())
+	defer scratchPool.Put(sc)
+	onPath := sc.mark
+	onPath[src] = 1
+	var err error
+walk:
 	for _, v := range targets {
-		for u := v; !added[u]; u = parent[u] {
+		for u := v; onPath[u] == 0; u = parent[u] {
 			if parent[u] < 0 {
-				return nil, fmt.Errorf("tree: target %d unreachable from root %d", v, src)
+				err = fmt.Errorf("tree: target %d unreachable from root %d", v, src)
+				break walk
 			}
-			if err := b.Add(u, parent[u]); err != nil {
-				return nil, err
-			}
-			added[u] = true
+			onPath[u] = 1
 		}
 	}
-	return b.Build()
+	// Collect the members in ascending id, clearing the marks
+	// fromParents takes over.
+	members := sc.ids[:0]
+	for v := range g.N() {
+		if onPath[v] != 0 {
+			onPath[v] = 0
+			if graph.NodeID(v) != src {
+				members = append(members, graph.NodeID(v))
+			}
+		}
+	}
+	sc.ids = members
+	if err != nil {
+		return nil, err
+	}
+	return fromParents(sc, g, src, parent, members)
 }
 
 // Len returns the number of tree members.

@@ -97,29 +97,34 @@ func TestFromPathsUnreachable(t *testing.T) {
 	}
 }
 
-func TestBuilderRejectsBadEdges(t *testing.T) {
+func TestFromParentsRejectsBadEdges(t *testing.T) {
 	g := gen.Path(4, 4, gen.Unit())
-	b := NewBuilder(g, 0)
-	if err := b.Add(0, 1); err == nil {
+	parent := []graph.NodeID{-1, 0, 1, 2}
+	// One scratch for every call: a rejected call must leave it clean.
+	sc := getScratch(g.N())
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{0, 1}); err == nil {
 		t.Fatal("root with parent accepted")
 	}
-	if err := b.Add(3, 0); err == nil {
+	parent[3] = 0
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1, 2, 3}); err == nil {
 		t.Fatal("non-adjacent parent accepted")
 	}
-	if err := b.Add(1, 0); err != nil {
-		t.Fatal(err)
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1, 1}); err == nil {
+		t.Fatal("node listed twice accepted")
 	}
-	if err := b.Add(1, 2); err == nil {
-		t.Fatal("double parent accepted")
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{2}); err == nil {
+		t.Fatal("parent outside the tree accepted")
+	}
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestBuilderRejectsDisconnected(t *testing.T) {
+func TestFromParentsRejectsDisconnected(t *testing.T) {
 	g := gen.Path(5, 5, gen.Unit())
-	b := NewBuilder(g, 0)
-	b.Add(1, 0)
-	b.Add(4, 3) // 3 itself never connected to root
-	if _, err := b.Build(); err == nil {
+	// 3 and 4 point at each other, so neither reaches the root.
+	parent := []graph.NodeID{-1, 0, -1, 4, 3}
+	if _, err := fromParents(getScratch(g.N()), g, 0, parent, []graph.NodeID{1, 3, 4}); err == nil {
 		t.Fatal("disconnected tree accepted")
 	}
 }
@@ -231,7 +236,7 @@ func TestPathToRoot(t *testing.T) {
 
 func TestSingleNodeTree(t *testing.T) {
 	g := gen.Path(1, 1, gen.Unit())
-	tr, err := NewBuilder(g, 0).Build()
+	tr, err := FromSPT(g, 0, sssp.From(g, 0).Parent)
 	if err != nil {
 		t.Fatal(err)
 	}

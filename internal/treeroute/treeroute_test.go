@@ -81,7 +81,7 @@ func TestRouteOnRandomSPT(t *testing.T) {
 
 func TestSingleNodeRoute(t *testing.T) {
 	g := gen.Path(5, 1, gen.Unit())
-	tr, err := tree.NewBuilder(g, 0).Build()
+	tr, err := tree.FromSPT(g, 0, sssp.From(g, 0).Parent)
 	if err != nil {
 		t.Fatal(err)
 	}
