@@ -89,16 +89,6 @@ type Route struct {
 	Version      *uint64 `json:"version,omitempty"`
 }
 
-// Resolve is a name-resolution answer: existence of both names plus
-// the shortest-path distance between them, without walking a route.
-type Resolve struct {
-	SrcKnown     bool    `json:"srcKnown"`
-	DstKnown     bool    `json:"dstKnown"`
-	MetricKnown  bool    `json:"metricKnown"`
-	ShortestCost float64 `json:"shortestCost,omitempty"`
-	Version      *uint64 `json:"version,omitempty"`
-}
-
 // Health is a /v1/healthz answer. The dynamic fields are zero for
 // static servers.
 type Health struct {
@@ -132,14 +122,6 @@ type RebuildReply struct {
 func (c *Client) RouteByName(ctx context.Context, src, dst uint64) (Route, error) {
 	var out Route
 	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/route?src=%d&dst=%d", src, dst), nil, &out)
-	return out, err
-}
-
-// Resolve reports name existence and the shortest-path distance
-// between two external names on the server's current topology.
-func (c *Client) Resolve(ctx context.Context, src, dst uint64) (Resolve, error) {
-	var out Resolve
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/resolve?src=%d&dst=%d", src, dst), nil, &out)
 	return out, err
 }
 

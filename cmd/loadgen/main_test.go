@@ -36,7 +36,7 @@ func testDaemon(t *testing.T) (*compactroute.Scheme, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := serve.NewPool(serve.RouterFunc(loaded.RouteByNameCtx), serve.Options{Workers: 4, CacheSize: 1 << 10})
+	pool := serve.NewPool(serve.RouterFunc(loaded.RouteByNameCtx), 4)
 	ts := httptest.NewServer(routeMux(pool))
 	t.Cleanup(ts.Close)
 	return loaded, ts

@@ -59,7 +59,6 @@ func main() {
 	sfactor := flag.Float64("sfactor", 0.25, "landmark S-set constant for -save")
 	queries := flag.Float64("queries", 1e5, "queries to run for -load")
 	workers := flag.Int("workers", 0, "concurrent query workers for -load (0: GOMAXPROCS)")
-	cacheSize := flag.Int("cache", 1<<16, "result cache entries for -load (negative: disable)")
 	pattern := flag.String("pattern", "uniform", "workload pattern for -load queries (uniform, zipf, gravity, local, adversarial)")
 	flag.Parse()
 
@@ -88,7 +87,7 @@ func main() {
 			fail(err)
 		}
 	case *loadFile != "":
-		if err := loadAndQuery(*loadFile, int(*queries), *workers, *cacheSize, *seed, workload.Pattern(*pattern)); err != nil {
+		if err := loadAndQuery(*loadFile, int(*queries), *workers, *seed, workload.Pattern(*pattern)); err != nil {
 			fail(err)
 		}
 	case *all:
@@ -160,7 +159,7 @@ func buildAndSave(path, kind string, n, k int, p, sfactor float64, seed uint64) 
 // loadAndQuery measures the recurring side: deserialization once, then
 // sustained query throughput through the serving pool under a named
 // workload pattern.
-func loadAndQuery(path string, queries, workers, cacheSize int, seed uint64, pattern workload.Pattern) error {
+func loadAndQuery(path string, queries, workers int, seed uint64, pattern workload.Pattern) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -206,7 +205,7 @@ func loadAndQuery(path string, queries, workers, cacheSize int, seed uint64, pat
 			return score
 		}
 	}
-	pool := serve.NewPool(serve.RouterFunc(s.RouteByNameCtx), serve.Options{Workers: workers, CacheSize: cacheSize})
+	pool := serve.NewPool(serve.RouterFunc(s.RouteByNameCtx), workers)
 
 	if queries < 1 {
 		return fmt.Errorf("routebench: -queries must be ≥ 1, got %d", queries)
@@ -255,11 +254,5 @@ func loadAndQuery(path string, queries, workers, cacheSize int, seed uint64, pat
 	fmt.Printf("ran %d %s queries with %d workers in %v: %.0f queries/sec\n",
 		st.Requests, pattern, workers, elapsed.Round(time.Millisecond),
 		float64(st.Requests)/elapsed.Seconds())
-	hitRate := 0.0
-	if st.Hits+st.Misses > 0 {
-		hitRate = 100 * float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
-	fmt.Printf("  cache: %d hits, %d misses, %d coalesced (%.1f%% hit rate), %d/%d resident\n",
-		st.Hits, st.Misses, st.Coalesced, hitRate, st.CacheLen, st.CacheCap)
 	return nil
 }

@@ -19,9 +19,8 @@
 // The HTTP surface is versioned under /v1; nothing else is served:
 //
 //	GET  /v1/route?src=<name>&dst=<name>  route between external names
-//	GET  /v1/resolve?src=&dst=            names + shortest distance
 //	GET  /v1/healthz                      liveness + scheme identity + live version
-//	GET  /v1/stats                        worker pool, cache, and swap counters
+//	GET  /v1/stats                        worker pool and swap counters
 //	GET  /v1/metrics                      Prometheus text exposition
 //	GET  /v1/trace/{id}                   one stored request trace by ID
 //	GET  /v1/traces/recent[?n=]           newest stored traces
@@ -67,8 +66,6 @@ func main() {
 	schemeArg := flag.String("scheme", "", "scheme to serve: a registry kind ("+strings.Join(compactroute.Kinds(), ", ")+") or a file written by compactroute.Save (required)")
 	addr := flag.String("addr", ":8347", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent route computations (0: GOMAXPROCS)")
-	cacheSize := flag.Int("cache", 1<<16, "result cache capacity in entries (negative: disable)")
-	shards := flag.Int("shards", 16, "cache shard count")
 	metric := flag.Bool("metric", false, "compute the shortest-path metric at startup — and per rebuilt version — so responses carry true stretch (costs one APSP each time; built schemes start with it)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
 	k := flag.Int("k", 3, "trade-off parameter when building a kind")
@@ -116,8 +113,6 @@ func main() {
 		SFactor:       *sfactor,
 		Metric:        *metric,
 		Workers:       *workers,
-		CacheSize:     *cacheSize,
-		Shards:        *shards,
 		RebuildAfter:  *rebuildAfter,
 		BestOfBoth:    *bestOfBoth,
 		DampPenalty:   *dampPenalty,
@@ -157,8 +152,8 @@ func main() {
 		WriteTimeout:      15 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("routed: serving on %s (workers=%d cache=%d metric=%v dynamic=%v)",
-		*addr, srv.Stats().Workers, *cacheSize, srv.Scheme().Network().HasMetric(), srv.Dynamic())
+	log.Printf("routed: serving on %s (workers=%d metric=%v dynamic=%v)",
+		*addr, srv.Stats().Workers, srv.Scheme().Network().HasMetric(), srv.Dynamic())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()

@@ -160,8 +160,7 @@ type DynamicOptions struct {
 	// before it swaps in, so routed results always carry true stretch
 	// (Result.MetricKnown). It costs one APSP per rebuild, in the
 	// background — never on the serving path, and never after the
-	// swap (a metric appearing on a serving version would strand
-	// stale MetricKnown=false cache entries; see internal/serve).
+	// swap.
 	EnsureMetric bool
 	// SnapshotDir, when set, persists every version before it swaps
 	// in: the sealed graph, each persistable kind with its lineage
@@ -174,8 +173,8 @@ type DynamicOptions struct {
 // rebuilds replay them and construct fresh schemes in the background
 // (Rebuild), and a hot swap publishes the result — in-flight routes
 // finish on the version they started on, new requests see the new
-// one, and swap hooks (OnSwap) purge serving caches within the
-// sub-millisecond pause. See DESIGN.md §7.
+// one, and swap hooks (OnSwap) run within the sub-millisecond pause.
+// See DESIGN.md §7.
 type Dynamic struct {
 	opts    DynamicOptions
 	top     *dynamic.Topology
@@ -291,7 +290,7 @@ func (d *Dynamic) Version() VersionInfo { return info(d.top.Current()) }
 
 // Rebuild seals the log, replays the pending mutations, rebuilds
 // every configured kind in the background, and hot-swaps the new
-// version in (purging caches via the OnSwap hooks). Rebuilds
+// version in (running the OnSwap hooks). Rebuilds
 // serialize; with nothing pending the current version is returned
 // unchanged. On error the old version keeps serving and the mutation
 // range stays pending.
@@ -340,9 +339,9 @@ func (d *Dynamic) Staged() (VersionInfo, bool) {
 }
 
 // OnSwap registers a hook run synchronously inside every swap, after
-// the new version is published — the place a serving layer purges its
-// result cache (serve.Pool.Purge). Hooks must be fast: they are part
-// of the measured swap pause.
+// the new version is published (the serving tier journals the swap
+// there). Hooks must be fast: they are part of the measured swap
+// pause.
 func (d *Dynamic) OnSwap(fn func(VersionInfo)) {
 	d.top.Swapper().OnSwap(func(v *dynamic.Version) { fn(info(v)) })
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // RunO1 measures the cost of observability on the serving hot path:
-// the same single-threaded query loop through a cache-disabled pool
+// the same single-threaded query loop through a one-worker pool
 // (every query walks the scheme) in three arms — tracing off, the
 // production-default 1-in-64 sampling, and every request traced. The
 // instrumentation is identical in all arms (it ships in the binary
@@ -37,10 +37,10 @@ func RunO1(ctx context.Context, w io.Writer, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("O1: %w", err)
 	}
-	// Cache off: every query pays the full scheme walk, the path the
-	// per-hop instrumentation rides. One worker: the delta measured is
+	// Every query pays the full scheme walk, the path the per-hop
+	// instrumentation rides. One worker: the delta measured is
 	// per-query cost, not scheduler noise.
-	pool := serve.NewPool(serve.RouterFunc(s.RouteByNameCtx), serve.Options{Workers: 1, CacheSize: -1})
+	pool := serve.NewPool(serve.RouterFunc(s.RouteByNameCtx), 1)
 
 	// Deterministic query stream (splitmix64 over the seed).
 	names := make([]uint64, n)

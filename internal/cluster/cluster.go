@@ -15,11 +15,12 @@
 // in the paper's scheme the source walks the whole route from its own
 // table and the destination's label, and the shard already answers
 // with the stretch denominator from its own metric, so no second shard
-// has anything to add. Source ownership keeps each pair cached on one
-// shard. The answer's topology version must be the one the front-door
-// last committed (before any cut-over, the first version it saw); any
-// other version is refused with version skew (409) rather than served
-// from a graph the rest of the tier does not hold.
+// has anything to add. Ownership by source spreads the sources, and
+// so the walks, over the shards. The answer's topology version must be
+// the one the front-door last committed (before any cut-over, the
+// first version it saw); any other version is refused with version
+// skew (409) rather than served from a graph the rest of the tier does
+// not hold.
 //
 // # Coordinated cut-over
 //
@@ -489,25 +490,6 @@ func shardFault(ctx context.Context, err error) bool {
 		return false
 	}
 	return true
-}
-
-// Resolve proxies a name-resolution query to the owner of src.
-func (c *Cluster) Resolve(ctx context.Context, src, dst uint64) (client.Resolve, error) {
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	for attempt := 0; attempt <= len(c.shards); attempt++ {
-		i := c.Owner(src)
-		if i < 0 {
-			return client.Resolve{}, ErrNoHealthyShard
-		}
-		res, err := c.shards[i].c.Resolve(ctx, src, dst)
-		if err != nil && shardFault(ctx, err) {
-			c.eject(c.shards[i], err)
-			continue
-		}
-		return res, err
-	}
-	return client.Resolve{}, ErrNoHealthyShard
 }
 
 // Mutate fans a mutation batch out to every healthy shard, one batch

@@ -23,27 +23,25 @@ func discardLogf(string, ...any) {}
 func shardConfig(n int) server.Config {
 	return server.Config{
 		Scheme: "fulltable", N: n, K: 2, Seed: 11, SFactor: 0.5,
-		Metric: true, Workers: 4, CacheSize: 256, Logf: discardLogf,
+		Metric: true, Workers: 4, Logf: discardLogf,
 	}
 }
 
 // flaky wraps a shard handler with a kill switch: while down, every
 // connection is hijacked and closed mid-request, which the client
 // sees as a transport failure (not an API error). It also counts the
-// route, resolve, stats, and healthz calls that reach the shard.
+// route, stats, and healthz calls that reach the shard.
 type flaky struct {
-	h                http.Handler
-	down             atomic.Bool
-	routes, resolves atomic.Uint64
-	stats, healthz   atomic.Uint64
+	h              http.Handler
+	down           atomic.Bool
+	routes         atomic.Uint64
+	stats, healthz atomic.Uint64
 }
 
 func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/v1/route":
 		f.routes.Add(1)
-	case "/v1/resolve":
-		f.resolves.Add(1)
 	case "/v1/stats":
 		f.stats.Add(1)
 	case "/v1/healthz":
@@ -198,7 +196,7 @@ func TestRoutesMatchSingleProcess(t *testing.T) {
 
 // TestOneShardCallPerRoute: every front-door route is exactly one
 // /v1/route call, on the owner of its source, whether or not the
-// destination has the same owner — and no /v1/resolve call at all.
+// destination has the same owner.
 func TestOneShardCallPerRoute(t *testing.T) {
 	c, servers, wraps := bootCluster(t, 3, 60, time.Hour)
 	g := servers[0].Scheme().Network().Graph()
@@ -241,11 +239,8 @@ func TestOneShardCallPerRoute(t *testing.T) {
 		t.Fatalf("sample too thin: %d same-owner, %d cross-owner pairs", sameOwner, crossOwner)
 	}
 	var total uint64
-	for i, w := range wraps {
+	for _, w := range wraps {
 		total += w.routes.Load()
-		if r := w.resolves.Load(); r != 0 {
-			t.Fatalf("shard %d took %d resolve calls, want 0", i, r)
-		}
 	}
 	if total != routes {
 		t.Fatalf("%d routes made %d shard route calls", routes, total)

@@ -15,7 +15,6 @@ import (
 // /v1 routes, so the same client speaks to either tier:
 //
 //	GET  /v1/route          proxy to the source owner (one shard call)
-//	GET  /v1/resolve        proxy to the source owner
 //	GET  /v1/healthz        cluster status + per-shard health rows
 //	GET  /v1/stats          front-door counters + per-shard stats
 //	GET  /v1/metrics        Prometheus text: cluster + per-shard series
@@ -34,7 +33,6 @@ func (c *Cluster) Handler() http.Handler {
 		h       http.HandlerFunc
 	}{
 		{"GET /v1/route", c.handleRoute},
-		{"GET /v1/resolve", c.handleResolve},
 		{"GET /v1/healthz", c.handleHealthz},
 		{"GET /v1/stats", c.handleStats},
 		{"GET /v1/metrics", c.handleMetrics},
@@ -86,20 +84,6 @@ func (c *Cluster) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.Delivered && res.Stretch > 0 {
 		c.metrics.ObserveStretch("cluster", res.Stretch)
-	}
-	server.WriteJSON(w, res)
-}
-
-func (c *Cluster) handleResolve(w http.ResponseWriter, r *http.Request) {
-	src, dst, err := server.ParsePair(r)
-	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := c.Resolve(r.Context(), src, dst)
-	if err != nil {
-		writeClusterError(w, err)
-		return
 	}
 	server.WriteJSON(w, res)
 }

@@ -143,7 +143,6 @@ func TestFrontDoorScrapeEndpoints(t *testing.T) {
 	}
 	for name, want := range map[string]float64{
 		obs.MetricShardRequestsTotal:   float64(servers[0].Stats().Requests),
-		obs.MetricShardHitsTotal:       float64(servers[0].Stats().Hits),
 		obs.MetricShardTopologyVersion: 1,
 	} {
 		f := fams[name]

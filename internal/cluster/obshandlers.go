@@ -108,8 +108,6 @@ func (c *Cluster) metricFamilies(ctx context.Context) []obs.Family {
 		Help: "1 if the front-door considers the shard healthy"}
 	reqs := obs.Family{Name: obs.MetricShardRequestsTotal, Type: "counter",
 		Help: "queries admitted by the shard's worker pool"}
-	hits := obs.Family{Name: obs.MetricShardHitsTotal, Type: "counter",
-		Help: "queries the shard served from its result cache"}
 	vers := obs.Family{Name: obs.MetricShardTopologyVersion, Type: "gauge",
 		Help: "topology version the shard is serving"}
 	for _, v := range views {
@@ -123,12 +121,11 @@ func (c *Cluster) metricFamilies(ctx context.Context) []obs.Family {
 			continue
 		}
 		reqs.Points = append(reqs.Points, obs.Point{Labels: lbl, Value: float64(v.stats.Requests)})
-		hits.Points = append(hits.Points, obs.Point{Labels: lbl, Value: float64(v.stats.Hits)})
 		if d := v.stats.Dynamic; d != nil {
 			vers.Points = append(vers.Points, obs.Point{Labels: lbl, Value: float64(d.Version)})
 		}
 	}
-	fams = append(fams, up, reqs, hits, vers,
+	fams = append(fams, up, reqs, vers,
 		obs.Counter(obs.MetricTracesSampledTotal, "requests traced (sampled or forced by a propagated ID)", float64(c.tracer.Sampled())),
 		c.journal.CountFamily(),
 	)

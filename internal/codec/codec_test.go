@@ -51,7 +51,6 @@ func buildFamily(t *testing.T, fi int) *compactroute.Scheme {
 // hops) to the in-memory original.
 func TestRoundTripProperty(t *testing.T) {
 	const queriesPerFamily = 300 // ×4 families = 1200 ≥ 1k
-	totalQueries := 0
 	for fi, f := range families {
 		f := f
 		fi := fi
@@ -104,7 +103,6 @@ func TestRoundTripProperty(t *testing.T) {
 					t.Fatalf("query %#x→%#x diverges: %+v vs %+v", src, dst, a, b)
 				}
 			}
-			totalQueries += queriesPerFamily
 		})
 	}
 }

@@ -11,8 +11,7 @@
 // replays the pending range onto the current graph (Replay), constructs
 // fresh schemes in the background, and Swap publishes the result with a
 // sub-millisecond pause. In-flight routes finish on the version they
-// resolved at admission; new requests see the new version; result
-// caches are purged per swap (serve.Pool.Purge via swap hooks).
+// resolved at admission; new requests see the new version.
 //
 // Determinism is load-bearing end to end: the log is replayable
 // (Replay(g, A++B) and Replay(Replay(g, A), B) build byte-identical

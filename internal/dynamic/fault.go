@@ -30,34 +30,23 @@ func NewFaultSet() *FaultSet {
 	return &FaultSet{nodes: make(map[uint64]bool), edges: make(map[[2]uint64]bool)}
 }
 
-// Observe projects one mutation onto the overlay and reports whether
-// it changed fault state. Transient events set or clear their element;
-// a permanent RemoveEdge clears the pair's down flag (the element is
-// gone, not down — a later re-add starts life up). Observe is lenient
-// by design: it is a projection of an already-validated log, so a
-// redundant fail or recover is a no-op, never an error.
-func (f *FaultSet) Observe(m Mutation) bool {
+// Observe projects one mutation onto the overlay. Transient events
+// set or clear their element; a permanent RemoveEdge clears the pair's
+// down flag (the element is gone, not down — a later re-add starts
+// life up). Observe is lenient by design: it is a projection of an
+// already-validated log, so a redundant fail or recover is a no-op,
+// never an error.
+func (f *FaultSet) Observe(m Mutation) {
 	switch m.Op {
 	case OpFailEdge:
 		f.edges[pairKey(m.U, m.V)] = true
-		return true
-	case OpRecoverEdge:
+	case OpRecoverEdge, OpRemoveEdge:
 		delete(f.edges, pairKey(m.U, m.V))
-		return true
 	case OpFailNode:
 		f.nodes[m.Name] = true
-		return true
 	case OpRecoverNode:
 		delete(f.nodes, m.Name)
-		return true
-	case OpRemoveEdge:
-		k := pairKey(m.U, m.V)
-		if f.edges[k] {
-			delete(f.edges, k)
-			return true
-		}
 	}
-	return false
 }
 
 // NodeDown reports whether the node is failed.

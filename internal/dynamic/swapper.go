@@ -14,12 +14,10 @@ import (
 // new requests see the new one.
 //
 // Swap runs the registered hooks synchronously after the pointer
-// store — that is where serving caches are purged (serve.Pool.Purge),
-// so a cache can only ever hold results computed on a version at
-// least as new as the published one. The whole swap (pointer store +
-// hooks) is the serving pause the D1 experiment bounds below a
-// millisecond; anything expensive (builds, metric computation,
-// persistence) belongs before the swap, not in a hook.
+// store. The whole swap (pointer store + hooks) is the serving pause
+// the D1 experiment bounds below a millisecond; anything expensive
+// (builds, metric computation, persistence) belongs before the swap,
+// not in a hook.
 type Swapper struct {
 	cur atomic.Pointer[Version]
 
@@ -53,8 +51,7 @@ func (s *Swapper) OnSwap(fn func(*Version)) {
 
 // Swap publishes v and runs the hooks, returning the pause — the
 // wall time from just before the pointer store to after the last
-// hook, the only window in which a new request could still resolve
-// the old version while stale cache entries exist.
+// hook.
 func (s *Swapper) Swap(v *Version) time.Duration {
 	s.mu.Lock()
 	hooks := s.hooks

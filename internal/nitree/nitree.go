@@ -89,6 +89,9 @@ type Scheme struct {
 	sigma int
 	cap   int // bucket capacity actually used
 	seed  uint64
+	// hashBits is the hash function's Θ(log² m) share, the same for
+	// every member of the tree.
+	hashBits bitsize.Bits
 	// ReseedCount and LoadViolation record how the hash verification
 	// went (for experiment tables).
 	ReseedCount   int
@@ -121,11 +124,13 @@ func New(t *tree.Tree, p Params) (*Scheme, error) {
 	if sigma > 1<<16 {
 		return nil, fmt.Errorf("nitree: alphabet %d too large", sigma)
 	}
+	logm := max(bitsize.Log2Ceil(m), 1)
 	s := &Scheme{
-		t:     t,
-		lr:    treeroute.New(t),
-		k:     p.K,
-		sigma: sigma,
+		t:        t,
+		lr:       treeroute.New(t),
+		k:        p.K,
+		sigma:    sigma,
+		hashBits: bitsize.Bits(logm * logm),
 	}
 	s.assignNames()
 	order := t.ByDepth()
@@ -373,12 +378,7 @@ func (s *Scheme) LevelSize(j int) int {
 // StorageBits returns the accounting size of member i's tables: the
 // hash function share, µ(T,u), child labels, and the hash bucket.
 func (s *Scheme) StorageBits(i int) bitsize.Bits {
-	logn := bitsize.Log2Ceil(s.t.Len())
-	if logn < 1 {
-		logn = 1
-	}
-	b := bitsize.Bits(logn * logn) // Θ(log² n) for the hash function
-	b += s.lr.LocalBits(i)
+	b := s.hashBits + s.lr.LocalBits(i)
 	order := s.t.ByDepth()
 	p := int(s.posOf[i])
 	lo, hi := s.children(p)

@@ -15,17 +15,11 @@ const (
 	MetricEventsTotal          = "compactroute_events_total"
 
 	// Shard (routed) pool and topology families.
-	MetricPoolRequestsTotal  = "compactroute_pool_requests_total"
-	MetricPoolHitsTotal      = "compactroute_pool_cache_hits_total"
-	MetricPoolMissesTotal    = "compactroute_pool_cache_misses_total"
-	MetricPoolCoalescedTotal = "compactroute_pool_coalesced_total"
-	MetricPoolErrorsTotal    = "compactroute_pool_errors_total"
-	MetricPoolRejectedTotal  = "compactroute_pool_rejected_total"
-	MetricPoolPurgesTotal    = "compactroute_pool_cache_purges_total"
-	MetricPoolInflight       = "compactroute_pool_inflight"
-	MetricPoolCacheEntries   = "compactroute_pool_cache_entries"
-	MetricPoolCacheCapacity  = "compactroute_pool_cache_capacity"
-	MetricPoolWorkers        = "compactroute_pool_workers"
+	MetricPoolRequestsTotal = "compactroute_pool_requests_total"
+	MetricPoolErrorsTotal   = "compactroute_pool_errors_total"
+	MetricPoolRejectedTotal = "compactroute_pool_rejected_total"
+	MetricPoolInflight      = "compactroute_pool_inflight"
+	MetricPoolWorkers       = "compactroute_pool_workers"
 
 	MetricTopologyVersion    = "compactroute_topology_version"
 	MetricMutationsTotal     = "compactroute_mutations_applied_total"
@@ -53,6 +47,5 @@ const (
 	// label, aggregated from each shard's /v1/stats at scrape time.
 	MetricShardUp              = "compactroute_shard_up"
 	MetricShardRequestsTotal   = "compactroute_shard_requests_total"
-	MetricShardHitsTotal       = "compactroute_shard_cache_hits_total"
 	MetricShardTopologyVersion = "compactroute_shard_topology_version"
 )

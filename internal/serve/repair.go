@@ -63,11 +63,10 @@ type dampKey [2]uint64
 // decaying window. It is safe for concurrent use.
 //
 // The fault view is a dynamic.FaultSet fed by the mutation path
-// through Observe (internal/server passes every accepted batch in);
-// because faults change what a query answers, the owner must Purge any
-// result cache above this layer whenever Observe reports a change — a
-// cached "delivered" from before a failure is exactly the stale answer
-// the repair layer exists to prevent.
+// through Observe (internal/server passes every accepted batch in).
+// Every route is held against the view as it stands when the route
+// is chosen, so a query admitted after Observe returns can never
+// cross an element that batch took down.
 type Repairer struct {
 	route RoutePathFunc
 	opts  RepairOptions
@@ -100,22 +99,18 @@ func pairKey(u, v uint64) [2]uint64 {
 	return [2]uint64{u, v}
 }
 
-// Observe projects accepted mutations onto the fault view and
-// reports whether it changed, i.e. whether a cached answer above this
-// layer may now be stale. Damping follows the same events: a failure
-// stamps its element, a recovery keeps the stamp (distrusting a link
-// that just flapped is the whole point of damping), and a permanent
-// removal clears the pair's stamp — the element is gone, not down,
-// and a later re-add starts life up and undamped.
-func (r *Repairer) Observe(ms ...dynamic.Mutation) bool {
+// Observe projects accepted mutations onto the fault view. Damping
+// follows the same events: a failure stamps its element, a recovery
+// keeps the stamp (distrusting a link that just flapped is the whole
+// point of damping), and a permanent removal clears the pair's stamp —
+// the element is gone, not down, and a later re-add starts life up
+// and undamped.
+func (r *Repairer) Observe(ms ...dynamic.Mutation) {
 	now := r.opts.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	changed := false
 	for _, m := range ms {
-		if r.faults.Observe(m) {
-			changed = true
-		}
+		r.faults.Observe(m)
 		switch m.Op {
 		case dynamic.OpFailEdge:
 			r.stampLocked(dampKey(pairKey(m.U, m.V)), now)
@@ -125,7 +120,6 @@ func (r *Repairer) Observe(ms ...dynamic.Mutation) bool {
 			delete(r.damp, dampKey(pairKey(m.U, m.V)))
 		}
 	}
-	return changed
 }
 
 // stampLocked records a failure instant and opportunistically sweeps

@@ -104,11 +104,9 @@ func TestRepairerBlocksDownElements(t *testing.T) {
 	// A permanent removal clears fault state: a removed-then-readded
 	// link is up.
 	r.Observe(compactroute.MutFailEdge(1, 3))
-	if !r.Observe(compactroute.MutRemoveEdge(1, 3)) {
-		t.Fatal("removing a down pair reported no change")
-	}
-	if r.Observe(compactroute.MutRemoveEdge(1, 3)) {
-		t.Fatal("removing an up pair reported a change")
+	r.Observe(compactroute.MutRemoveEdge(1, 3))
+	if st := r.Stats(); st.DownEdges != 0 {
+		t.Fatalf("removing a down pair left it down: %+v", st)
 	}
 	if _, err := r.RouteByName(context.Background(), 1, 2); err != nil {
 		t.Fatalf("after drop: %v", err)
@@ -215,40 +213,37 @@ func TestRepairerErrorPassThrough(t *testing.T) {
 }
 
 // TestRepairerObserve pins what one batch of accepted mutations does to
-// the repair layer: whether Observe reports a change (the owner purges
-// its cache on it), and what stays down and damped afterwards.
+// the repair layer's projected view: what stays down and damped
+// afterwards.
 func TestRepairerObserve(t *testing.T) {
 	r := NewRepairer(newPathRouter().route, RepairOptions{DampPenalty: 1})
 	steps := []struct {
-		name    string
-		ms      []compactroute.Mutation
-		changed bool
-		want    FaultStats
+		name string
+		ms   []compactroute.Mutation
+		want FaultStats
 	}{
 		{"permanent churn", []compactroute.Mutation{
 			compactroute.MutSetWeight(1, 2, 3),
 			compactroute.MutAddEdge(1, 4, 2),
 			compactroute.MutAddNode(9, 1, 1),
-		}, false, FaultStats{}},
-		{"remove an up pair", []compactroute.Mutation{compactroute.MutRemoveEdge(1, 4)}, false, FaultStats{}},
-		{"fail edge stamps", []compactroute.Mutation{compactroute.MutFailEdge(1, 2)}, true, FaultStats{DownEdges: 1, Damped: 1}},
-		{"recover edge keeps the stamp", []compactroute.Mutation{compactroute.MutRecoverEdge(2, 1)}, true, FaultStats{Damped: 1}},
-		{"remove a damped up pair clears the stamp", []compactroute.Mutation{compactroute.MutRemoveEdge(1, 2)}, false, FaultStats{}},
-		{"fail node stamps", []compactroute.Mutation{compactroute.MutFailNode(3)}, true, FaultStats{DownNodes: 1, Damped: 1}},
-		{"recover node keeps the stamp", []compactroute.Mutation{compactroute.MutRecoverNode(3)}, true, FaultStats{Damped: 1}},
+		}, FaultStats{}},
+		{"remove an up pair", []compactroute.Mutation{compactroute.MutRemoveEdge(1, 4)}, FaultStats{}},
+		{"fail edge stamps", []compactroute.Mutation{compactroute.MutFailEdge(1, 2)}, FaultStats{DownEdges: 1, Damped: 1}},
+		{"recover edge keeps the stamp", []compactroute.Mutation{compactroute.MutRecoverEdge(2, 1)}, FaultStats{Damped: 1}},
+		{"remove a damped up pair clears the stamp", []compactroute.Mutation{compactroute.MutRemoveEdge(1, 2)}, FaultStats{}},
+		{"fail node stamps", []compactroute.Mutation{compactroute.MutFailNode(3)}, FaultStats{DownNodes: 1, Damped: 1}},
+		{"recover node keeps the stamp", []compactroute.Mutation{compactroute.MutRecoverNode(3)}, FaultStats{Damped: 1}},
 		{"remove a down pair", []compactroute.Mutation{
 			compactroute.MutFailEdge(5, 6),
 			compactroute.MutRemoveEdge(6, 5),
-		}, true, FaultStats{Damped: 1}},
+		}, FaultStats{Damped: 1}},
 		{"one transient op in a churn batch", []compactroute.Mutation{
 			compactroute.MutSetWeight(1, 2, 4),
 			compactroute.MutFailNode(7),
-		}, true, FaultStats{DownNodes: 1, Damped: 2}},
+		}, FaultStats{DownNodes: 1, Damped: 2}},
 	}
 	for _, st := range steps {
-		if got := r.Observe(st.ms...); got != st.changed {
-			t.Errorf("%s: Observe reported change %v, want %v", st.name, got, st.changed)
-		}
+		r.Observe(st.ms...)
 		if got := r.Stats(); got != st.want {
 			t.Errorf("%s: stats %+v, want %+v", st.name, got, st.want)
 		}

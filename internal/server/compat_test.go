@@ -74,7 +74,7 @@ func TestVersionedAndLegacyPathsAgree(t *testing.T) {
 		})
 	}
 
-	// Only /v1 is served.
+	// Only /v1 is served, and /v1 has no resolve endpoint.
 	for _, tc := range []struct{ method, path string }{
 		{"GET", goodRoute},
 		{"GET", "/healthz"},
@@ -83,10 +83,11 @@ func TestVersionedAndLegacyPathsAgree(t *testing.T) {
 		{"POST", "/rebuild"},
 		{"GET", "/resolve?src=1&dst=2"},
 		{"POST", "/swap"},
+		{"GET", "/v1/resolve?src=1&dst=2"},
 	} {
 		resp, _ := do(tsDyn, tc.method, tc.path, mut)
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s %s: %d, want 404 (only /v1 is served)", tc.method, tc.path, resp.StatusCode)
+			t.Fatalf("%s %s: %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +26,7 @@ func buildDynamic(t *testing.T, kind string, n int, rebuildAfter int) (*Server, 
 	t.Helper()
 	srv, err := New(Config{
 		Scheme: kind, N: n, K: 2, Seed: 11, SFactor: 0.5,
-		Workers: 4, CacheSize: 1 << 10, RebuildAfter: rebuildAfter,
+		Workers: 4, RebuildAfter: rebuildAfter,
 		Logf: discardLogf,
 	})
 	if err != nil {
@@ -415,5 +416,29 @@ func TestStageAndSwap(t *testing.T) {
 	resp, body = postJSON(t, ts, "/v1/swap", map[string]string{"nope": "x"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("swap without version: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestPoolRouteAllocs pins a shard read's allocations below the
+// handler: on a dynamic paper server with no faults, the pool and the
+// repair layer add nothing to the path walk's own four
+// (TestRoutePathAllocs in the facade).
+func TestPoolRouteAllocs(t *testing.T) {
+	srv, err := New(Config{Scheme: compactroute.KindPaper, N: 256, K: 3, Seed: 5, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	g := srv.Scheme().Network().Graph()
+	ctx := context.Background()
+	q := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		q++
+		if _, err := srv.pool.Route(ctx, g.Name(compactroute.NodeID(q%256)), g.Name(compactroute.NodeID((q*131+17)%256))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("Pool.Route: %.2f allocations per route, want at most 4", allocs)
 	}
 }

@@ -131,7 +131,7 @@ func TestFaultHammer(t *testing.T) {
 
 	srv, err := New(Config{
 		Scheme: "fulltable", N: 90, K: 2, Seed: 11, SFactor: 0.5,
-		Workers: 4, CacheSize: 256, Logf: discardLogf,
+		Workers: 4, Logf: discardLogf,
 		BestOfBoth: true, DampPenalty: 4, DampHalfLife: 20 * time.Millisecond,
 	})
 	if err != nil {

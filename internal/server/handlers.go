@@ -25,7 +25,7 @@ var ErrStatic = errors.New("scheme is static (loaded from a file); serve a regis
 // initRoutes wires the pool and the /v1 HTTP routes shared by both
 // modes.
 func (s *Server) initRoutes(r serve.Router) {
-	s.pool = serve.NewPool(r, serve.Options{Workers: s.cfg.Workers, CacheSize: s.cfg.CacheSize, Shards: s.cfg.Shards})
+	s.pool = serve.NewPool(r, s.cfg.Workers)
 	s.mux = http.NewServeMux()
 	// Every endpoint passes the observability boundary: trace minting
 	// or adoption, per-endpoint status/latency metrics, slow log.
@@ -35,7 +35,6 @@ func (s *Server) initRoutes(r serve.Router) {
 		h            http.HandlerFunc
 	}{
 		{"GET", "/route", s.handleRoute},
-		{"GET", "/resolve", s.handleResolve},
 		{"GET", "/healthz", s.handleHealthz},
 		{"GET", "/stats", s.handleStats},
 		{"GET", "/metrics", s.handleMetrics},
@@ -176,51 +175,6 @@ func (s *Server) servedKind() string {
 	return s.scheme.Kind()
 }
 
-// handleResolve answers name existence and the shortest-path distance
-// between two names, without walking a route — O(1) against the
-// version's metric. Unknown names are data here, not errors: a caller
-// asking "does this name exist?" must be able to tell "no" from a
-// failed request.
-func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	src, dst, err := ParsePair(r)
-	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var resp client.Resolve
-	for range 3 {
-		var before uint64
-		if s.dyn != nil {
-			before = s.dyn.Version().ID
-		}
-		resp = s.resolveOnce(src, dst)
-		if s.dyn == nil {
-			break
-		}
-		if after := s.dyn.Version().ID; after == before {
-			resp.Version = &after
-			break
-		}
-		v := s.dyn.Version().ID
-		resp.Version = &v
-	}
-	WriteJSON(w, resp)
-}
-
-// resolveOnce resolves both names on the scheme serving right now.
-func (s *Server) resolveOnce(src, dst uint64) client.Resolve {
-	net := s.currentScheme().Network()
-	su, sok := net.Graph().Lookup(src)
-	du, dok := net.Graph().Lookup(dst)
-	resp := client.Resolve{SrcKnown: sok, DstKnown: dok, MetricKnown: net.HasMetric()}
-	if sok && dok && resp.MetricKnown {
-		if d, err := net.TryDistance(su, du); err == nil {
-			resp.ShortestCost = d
-		}
-	}
-	return resp
-}
-
 // handleMutate appends topology mutations (dynamic mode only). The
 // body is one mutation object or a JSON array; the batch is atomic —
 // either every mutation is accepted or none is (422).
@@ -235,7 +189,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Through Mutate, not dyn.Apply: accepted fault events must reach
-	// the repair layer (and purge the cache) before the 200 goes out.
+	// the repair layer before the 200 goes out.
 	seq, err := s.Mutate(muts...)
 	if err != nil {
 		HTTPError(w, http.StatusUnprocessableEntity, "%v", err)
@@ -362,9 +316,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, s.Stats())
 }
 
-// ParsePair parses the src and dst query parameters of a route or
-// resolve request, naming the bad one in the error (a 400 at both
-// tiers).
+// ParsePair parses the src and dst query parameters of a route
+// request, naming the bad one in the error (a 400 at both tiers).
 func ParsePair(r *http.Request) (src, dst uint64, err error) {
 	q := r.URL.Query()
 	if src, err = ParseName(q.Get("src")); err != nil {

@@ -15,7 +15,7 @@ import (
 // blockingServer builds a Server whose router parks every route on a
 // channel, so tests control exactly when in-flight work completes.
 func blockingServer(release <-chan struct{}, started chan<- struct{}) *Server {
-	s := &Server{cfg: Config{Workers: 4, CacheSize: -1}, logf: discardLogf,
+	s := &Server{cfg: Config{Workers: 4}, logf: discardLogf,
 		done: make(chan struct{}), loopDone: make(chan struct{})}
 	s.initRoutes(serve.RouterFunc(func(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
 		started <- struct{}{}
@@ -101,7 +101,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		srv, err := New(Config{Scheme: "fulltable", N: 50, K: 2, Seed: 5, SFactor: 0.5,
-			Workers: 2, CacheSize: 64, Logf: discardLogf})
+			Workers: 2, Logf: discardLogf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	// A server that is Closed without ever being Started must not hang
 	// or leak either.
 	srv, err := New(Config{Scheme: "fulltable", N: 50, K: 2, Seed: 5, SFactor: 0.5,
-		Workers: 2, CacheSize: 64, Logf: discardLogf})
+		Workers: 2, Logf: discardLogf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,9 @@ func (s *Server) metricFamilies() []obs.Family {
 	fams := s.metrics.Families()
 	fams = append(fams,
 		obs.Counter(obs.MetricPoolRequestsTotal, "queries admitted by the worker pool", float64(st.Requests)),
-		obs.Counter(obs.MetricPoolHitsTotal, "queries served from the result cache", float64(st.Hits)),
-		obs.Counter(obs.MetricPoolMissesTotal, "queries routed by a worker", float64(st.Misses)),
-		obs.Counter(obs.MetricPoolCoalescedTotal, "queries that joined an identical in-flight computation", float64(st.Coalesced)),
 		obs.Counter(obs.MetricPoolErrorsTotal, "routing errors", float64(st.Errors)),
-		obs.Counter(obs.MetricPoolRejectedTotal, "queries canceled while waiting for a worker or a flight", float64(st.Rejected)),
-		obs.Counter(obs.MetricPoolPurgesTotal, "full result-cache invalidations", float64(st.Purges)),
+		obs.Counter(obs.MetricPoolRejectedTotal, "queries canceled while waiting for a worker or mid-walk", float64(st.Rejected)),
 		obs.Gauge(obs.MetricPoolInflight, "queries routing right now", float64(st.InFlight)),
-		obs.Gauge(obs.MetricPoolCacheEntries, "result-cache entries resident", float64(st.CacheLen)),
-		obs.Gauge(obs.MetricPoolCacheCapacity, "result-cache configured capacity", float64(st.CacheCap)),
 		obs.Gauge(obs.MetricPoolWorkers, "worker pool size", float64(st.Workers)),
 	)
 	if d := st.Dynamic; d != nil {

@@ -6,15 +6,13 @@
 // A Server wraps either a STATIC scheme (loaded from a file persisted
 // by compactroute.Save) or a DYNAMIC one (a registry kind served
 // through compactroute.Dynamic: mutate → background rebuild → hot
-// swap). Queries run on a bounded worker pool with a sharded
-// single-flight LRU result cache (internal/serve); the HTTP surface is
-// versioned under /v1:
+// swap). Queries run on a bounded worker pool (internal/serve), and
+// every query walks the scheme: the pool keeps no answers. The HTTP
+// surface is versioned under /v1:
 //
 //	GET  /v1/route    route between external names (+ live version)
-//	GET  /v1/resolve  name resolution + shortest-path distance, without
-//	                  walking a route
 //	GET  /v1/healthz  liveness + scheme identity + live version
-//	GET  /v1/stats    worker pool, cache, and swap counters
+//	GET  /v1/stats    worker pool and swap counters
 //	POST /v1/mutate   append topology mutations (dynamic mode)
 //	POST /v1/rebuild  rebuild + hot-swap in the background
 //	                  (?wait=1 blocks; ?stage=1 builds WITHOUT swapping)
@@ -88,11 +86,6 @@ type Config struct {
 
 	// Workers bounds concurrent route computations (0: GOMAXPROCS).
 	Workers int
-	// CacheSize is the result cache capacity in entries (0: 1<<16,
-	// negative disables).
-	CacheSize int
-	// Shards is the cache shard count (0: 16).
-	Shards int
 
 	// BestOfBoth routes src→dst and dst→src concurrently and serves
 	// the cheaper usable direction — the yggdrasil treesim mitigation
@@ -270,25 +263,18 @@ func (s *Server) initDynamic(cfg Config) error {
 		DampHalfLife: cfg.DampHalfLife,
 	})
 	s.initRoutes(s.repair)
-	// The swap hook purges the result cache inside the pause, so a
-	// post-swap request can never read a pre-swap route. The journal
-	// entry rides the same hook: every commit path (background
-	// rebuild, synchronous rebuild, two-phase swap) is one event.
+	// The journal entry rides the swap hook: every commit path
+	// (background rebuild, synchronous rebuild, two-phase swap) is one
+	// event.
 	dyn.OnSwap(func(v compactroute.VersionInfo) {
-		s.pool.Purge()
 		s.journal.Record("swap", fmt.Sprintf("version %d (mutations %d..%d, build %v)",
 			v.ID, v.MutFrom, v.MutTo, v.BuildWall.Round(time.Microsecond)))
 	})
 	return nil
 }
 
-// initStatic loads cfg.Scheme as a persisted scheme file, ensuring the
-// metric (when requested) strictly BEFORE the serving pool exists: the
-// pool caches ShortestCost at computation time and never refreshes it,
-// so a metric appearing after the first query would leave stale
-// MetricKnown=false entries behind forever (the staleness invariant
-// documented in internal/serve). Constructing the pool last makes that
-// state unreachable.
+// initStatic loads cfg.Scheme as a persisted scheme file, computing
+// the metric first when requested, so every answer carries stretch.
 func (s *Server) initStatic(cfg Config) error {
 	f, err := os.Open(cfg.Scheme)
 	if err != nil {
@@ -430,11 +416,10 @@ func (s *Server) Handler() http.Handler {
 // Mutate validates and appends topology mutations atomically (all or
 // none), returning the sequence number of the last one. The accepted
 // batch reaches the repair layer's fault view in the same critical
-// section — and the result cache is purged when that view changed — so
-// a route admitted after Mutate returns can neither cross a link it
-// just learned is dead nor be served a cached answer that does. Every
-// accepted fail/recover event lands in the event journal here, the one
-// place each passes through. A static server wraps ErrStatic.
+// section, so a route admitted after Mutate returns cannot cross a
+// link it just learned is dead. Every accepted fail/recover event
+// lands in the event journal here, the one place each passes through.
+// A static server wraps ErrStatic.
 func (s *Server) Mutate(ms ...compactroute.Mutation) (uint64, error) {
 	if s.dyn == nil {
 		return 0, fmt.Errorf("server: mutate: %w", ErrStatic)
@@ -450,9 +435,7 @@ func (s *Server) Mutate(ms ...compactroute.Mutation) (uint64, error) {
 			s.journal.Record("fault", m.String())
 		}
 	}
-	if s.repair.Observe(ms...) {
-		s.pool.Purge()
-	}
+	s.repair.Observe(ms...)
 	return seq, nil
 }
 

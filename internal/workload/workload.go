@@ -11,7 +11,7 @@
 //   - zipf: Zipf-skewed hotspots — a seeded rank permutation of the
 //     nodes with P(rank i) ∝ 1/(i+1)^s, applied independently to both
 //     endpoints. Models the few-popular-destinations shape of real
-//     traffic and maximizes cache leverage.
+//     traffic: queries concentrate on a few hot nodes.
 //   - gravity: P(u,v) ∝ deg(u)·deg(v) — the classic gravity model
 //     with node degree as mass; hubs talk to hubs.
 //   - local: src uniform, dst uniform within a small hop-ball around
