@@ -71,6 +71,21 @@ func BenchmarkSchemeBuildK3N256(b *testing.B) {
 	}
 }
 
+// BenchmarkDynamicStart512 is a shard's cold start without HTTP: the
+// network routed generates by default (gnp, n=512, p=8/n, weights
+// uniform in [1,8], its metric included) and NewDynamic with routed's
+// paper defaults (k=3, SFactor 0.25), the two steps server.New takes.
+func BenchmarkDynamicStart512(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		net := compactroute.RandomNetwork(1, 512, 8.0/512, compactroute.UniformWeights(1, 8))
+		if _, err := compactroute.NewDynamic(net, compactroute.DynamicOptions{
+			Configs: []compactroute.Config{{Kind: compactroute.KindPaper, K: 3, Seed: 1, SFactor: 0.25}},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // routeBench holds prebuilt schemes shared by the routing throughput
 // benchmarks (construction excluded from timing).
 var routeBench struct {

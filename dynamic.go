@@ -143,7 +143,10 @@ type VersionInfo struct {
 	MutFrom   uint64        `json:"mutFrom"`
 	MutTo     uint64        `json:"mutTo"`
 	BuildWall time.Duration `json:"buildWallNs"`
-	Kinds     []string      `json:"kinds"`
+	// Kinds lists the kinds built into the version, sorted. Every
+	// VersionInfo of one version shares the slice: read it, do not
+	// modify it.
+	Kinds []string `json:"kinds"`
 }
 
 // DynamicOptions configures NewDynamic.
@@ -151,10 +154,13 @@ type DynamicOptions struct {
 	// Configs names the scheme kinds every version builds — one
 	// Config per kind, at least one, kinds distinct. Each rebuild
 	// reconstructs all of them through the streaming pipeline
-	// (BuildStream) over the replayed graph.
+	// (BuildStream) over the replayed graph. Version 0 over a network
+	// that has its metric builds from that metric instead, and the
+	// paper kind shares its rows rather than holding a second copy.
 	Configs []Config
-	// Workers bounds each rebuild's shortest-path fan-out; 0 means
-	// GOMAXPROCS.
+	// Workers bounds each streamed build's shortest-path fan-out; 0
+	// means GOMAXPROCS. Version 0 over a network with its metric
+	// computes no shortest paths.
 	Workers int
 	// EnsureMetric computes the all-pairs metric of every version
 	// before it swaps in, so routed results always carry true stretch
@@ -176,8 +182,11 @@ type DynamicOptions struct {
 // one, and swap hooks (OnSwap) run within the sub-millisecond pause.
 // See DESIGN.md §7.
 type Dynamic struct {
-	opts    DynamicOptions
-	top     *dynamic.Topology
+	opts DynamicOptions
+	top  *dynamic.Topology
+	// baseNet is the network NewDynamic was given, set only while
+	// version 0 builds: from then on version 0 holds it, so it is
+	// released with version 0.
 	baseNet *Network
 	store   *dynamic.Store
 
@@ -195,8 +204,10 @@ type dynVersion struct {
 
 // NewDynamic seals net's graph as version 0, builds its schemes
 // synchronously, and returns the live handle. The network's metric —
-// if it has one — serves version 0's stretch reporting; later
-// versions follow DynamicOptions.EnsureMetric.
+// if it has one — is version 0's build input and serves its stretch
+// reporting; a lazy network's version 0 streams, and later versions
+// stream and follow DynamicOptions.EnsureMetric. The handle keeps no
+// reference to net: it lives as long as version 0 does.
 func NewDynamic(net *Network, o DynamicOptions) (*Dynamic, error) {
 	return NewDynamicCtx(context.Background(), net, o)
 }
@@ -216,12 +227,16 @@ func NewDynamicCtx(ctx context.Context, net *Network, o DynamicOptions) (*Dynami
 	top, err := dynamic.NewTopology(ctx, net.g, dynamic.TopologyOptions{
 		Configs: o.Configs,
 		Workers: o.Workers,
+		Metric:  net.metric(),
 		PreSwap: d.preSwap,
 	})
 	if err != nil {
 		return nil, err
 	}
 	d.top = top
+	// Version 0 holds the network from here on; the handle must not, so
+	// the first swap releases its graph and metric.
+	d.baseNet = nil
 	// Watchers are notified from inside the swap itself (the hooks run
 	// under the serialized rebuild path), so events are exactly-once
 	// and arrive in version order even with concurrent Rebuild

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 func dynNet(tb testing.TB, n int, seed uint64) *Network {
@@ -261,3 +262,98 @@ func TestDynamicSwapHammer(t *testing.T) {
 }
 
 func errorsNewf(format string, args ...any) error { return fmt.Errorf(format, args...) }
+
+// TestDynamicVersionZeroReusesMetric: over a network that has its
+// metric, version 0 builds from that metric. Its schemes equal a
+// streamed build's (the same network, lazy) route for route, in table
+// bits and in header bits; its paper scheme holds the network's own
+// rows, so the shard runs no second APSP and keeps no second copy. A
+// lazy network's version 0 still streams and leaves the network
+// without a metric.
+func TestDynamicVersionZeroReusesMetric(t *testing.T) {
+	warm := dynNet(t, 128, 3)
+	lazy := WrapGraphLazy(warm.Graph())
+	kinds := []string{KindPaper, KindTZ}
+	opts := DynamicOptions{Configs: []Config{
+		{Kind: KindPaper, K: 3, Seed: 5, SFactor: 0.25},
+		{Kind: KindTZ, K: 2, Seed: 5},
+	}}
+	reused, err := NewDynamic(warm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := NewDynamic(lazy, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.HasMetric() {
+		t.Fatal("version 0 over a lazy network computed the network's metric")
+	}
+
+	rows := warm.metric()
+	shared := reused.Scheme(KindPaper).Core().Decomposition().Results()
+	own := streamed.Scheme(KindPaper).Core().Decomposition().Results()
+	if len(shared) != len(rows) || len(own) != len(rows) {
+		t.Fatalf("paper rows: %d reused, %d streamed, network has %d", len(shared), len(own), len(rows))
+	}
+	for v := range rows {
+		if shared[v] != rows[v] {
+			t.Fatalf("row %d: version 0's paper scheme holds a copy, not the network's row", v)
+		}
+		if own[v] == rows[v] {
+			t.Fatalf("row %d: the lazy network's version 0 holds the warm network's row", v)
+		}
+	}
+
+	g := warm.Graph()
+	for _, kind := range kinds {
+		a, b := reused.Scheme(kind), streamed.Scheme(kind)
+		if a.MaxTableBits() != b.MaxTableBits() || a.MeanTableBits() != b.MeanTableBits() {
+			t.Fatalf("%s: table bits %d/%v reused, %d/%v streamed",
+				kind, a.MaxTableBits(), a.MeanTableBits(), b.MaxTableBits(), b.MeanTableBits())
+		}
+		for q := 0; q < 400; q++ {
+			src, dst := g.Name(NodeID(q%g.N())), g.Name(NodeID((q*37+11)%g.N()))
+			got, want := mustRoute(t, reused, kind, src, dst), mustRoute(t, streamed, kind, src, dst)
+			if got.Delivered != want.Delivered || got.Cost != want.Cost || got.Hops != want.Hops || got.HeaderBits != want.HeaderBits {
+				t.Fatalf("%s %#x→%#x: reused %+v, streamed %+v", kind, src, dst, got, want)
+			}
+			if !got.MetricKnown || want.MetricKnown {
+				t.Fatalf("%s: stretch known %v over the warm network, %v over the lazy one", kind, got.MetricKnown, want.MetricKnown)
+			}
+		}
+	}
+}
+
+// TestDynamicReleasesVersionZeroNetwork: the handle does not pin the
+// network it was built over. Version 0 holds it while it serves, and
+// the first swap releases it, graph and Θ(n²) metric together.
+func TestDynamicReleasesVersionZeroNetwork(t *testing.T) {
+	d, base, muts := func() (*Dynamic, weak.Pointer[Network], []Mutation) {
+		net := dynNet(t, 64, 4)
+		d, err := NewDynamic(net, DynamicOptions{Configs: []Config{{Kind: KindPaper, K: 2, Seed: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		muts, err := GenerateMutations(net, 5, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, weak.Make(net), muts
+	}()
+	runtime.GC()
+	if base.Value() == nil {
+		t.Fatal("version 0's network was collected while version 0 serves")
+	}
+	if _, err := d.Apply(muts...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Rebuild(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if base.Value() != nil {
+		t.Fatal("version 0's network outlived the first swap")
+	}
+	runtime.KeepAlive(d)
+}

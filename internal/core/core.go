@@ -454,6 +454,7 @@ func (s *Scheme) buildDenseSide(p Params) error {
 			Rho:       s.dec.Radius(int(j)),
 			UniverseN: s.g.N(),
 			Member:    member,
+			Metric:    s.dec.Results(),
 		})
 		if err != nil {
 			covErrs[si] = fmt.Errorf("core: cover at scale %d: %w", j, err)

@@ -49,6 +49,12 @@ type Params struct {
 	// in the original graph — same node ids and ports — so routing on
 	// them crosses real edges. nil means all nodes.
 	Member []bool
+	// Metric optionally holds the caller's shortest paths over g, one
+	// row per node (sssp.AllPairs output). When every node is a member,
+	// B(v,ρ) is a prefix of row v's distance order and is read off it;
+	// a cover of a strict subgraph measures its balls within G_i and
+	// searches for them. Build only reads the rows.
+	Metric []*sssp.Result
 }
 
 // Cover is a sparse tree cover of one graph (or of an induced
@@ -88,17 +94,29 @@ func Build(g *graph.Graph, p Params) (*Cover, error) {
 	} else if len(member) != n {
 		return nil, fmt.Errorf("cover: member filter has %d entries for %d nodes", len(member), n)
 	}
+	if p.Metric != nil && len(p.Metric) != n {
+		return nil, fmt.Errorf("cover: metric has %d rows for %d nodes", len(p.Metric), n)
+	}
 	growth := math.Pow(float64(universe), 1/float64(p.K))
 
-	// Precompute B(v,ρ) within the induced subgraph for every member,
-	// by truncated member-filtered Dijkstra; the balls are independent,
-	// so the members fan out.
+	// Precompute B(v,ρ) within the induced subgraph for every member.
+	// Over the whole graph each ball is a prefix of the metric's row;
+	// otherwise a truncated member-filtered Dijkstra finds it, and the
+	// members fan out. Only each ball's set matters below (Y and Z are
+	// marked, never walked in order), and the balls are only read, so
+	// they may alias the rows.
 	balls := make([][]graph.NodeID, n)
-	sssp.ParallelFor(n, 0, func(v int) {
-		if member[v] {
-			balls[v] = filteredBall(g, graph.NodeID(v), member, p.Rho)
+	if p.Metric != nil && allTrue(member) {
+		for v, r := range p.Metric {
+			balls[v] = r.Ball(p.Rho)
 		}
-	})
+	} else {
+		sssp.ParallelFor(n, 0, func(v int) {
+			if member[v] {
+				balls[v] = filteredBall(g, graph.NodeID(v), member, p.Rho)
+			}
+		})
+	}
 
 	c := &Cover{
 		g:          g,
@@ -216,6 +234,16 @@ func Build(g *graph.Graph, p Params) (*Cover, error) {
 		}
 	}
 	return c, nil
+}
+
+// allTrue reports whether the filter admits every node.
+func allTrue(member []bool) bool {
+	for _, in := range member {
+		if !in {
+			return false
+		}
+	}
+	return true
 }
 
 // filteredBall returns B(v,ρ) in the subgraph induced by member, via

@@ -2,10 +2,13 @@ package cover
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
+	"compactroute/internal/sssp"
 )
 
 func sparsityBound(n, k int) int {
@@ -214,5 +217,102 @@ func TestMemberFilterLengthValidated(t *testing.T) {
 	g := gen.Path(14, 5, gen.Unit())
 	if _, err := Build(g, Params{K: 2, Rho: 1, Member: []bool{true}}); err == nil {
 		t.Fatal("short member filter accepted")
+	}
+}
+
+// TestMetricBallsEqualSearch holds each ball read off the metric to the
+// truncated search it replaces, as a set, for every node: on weights
+// with exact ties at the radius (unit and power-of-two) and without,
+// at radii from below the lightest edge to beyond the diameter, and at
+// every distance some node lies at exactly.
+func TestMetricBallsEqualSearch(t *testing.T) {
+	weights := []struct {
+		name string
+		w    gen.Weighting
+	}{{"uniform", gen.Uniform(1, 8)}, {"pow2", gen.PowerOfTwo(10)}, {"unit", gen.Unit()}}
+	for _, wt := range weights {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := gen.Gnp(seed, 72, 5.0/72, wt.w)
+			rows := sssp.AllPairs(g)
+			all := make([]bool, g.N())
+			for v := range all {
+				all[v] = true
+			}
+			diam := 0.0
+			for _, r := range rows {
+				diam = math.Max(diam, r.Radius())
+			}
+			radii := []float64{0.5, 1, 1.5, 2.5, diam / 2, diam, 2 * diam}
+			for _, v := range rows[0].Order[1:] {
+				radii = append(radii, rows[0].Dist[v])
+			}
+			for _, rho := range radii {
+				for v := range rows {
+					got := setOf(rows[v].Ball(rho))
+					want := setOf(filteredBall(g, graph.NodeID(v), all, rho))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d ρ=%v: B(%d) from the metric %v, searched %v", wt.name, seed, rho, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// setOf returns the ball's nodes in id order.
+func setOf(ball []graph.NodeID) []graph.NodeID {
+	out := slices.Clone(ball)
+	slices.Sort(out)
+	return out
+}
+
+// TestCoverFromMetricMatchesSearch builds each cover twice, with and
+// without the metric, and requires the same trees and home trees. A
+// strict member filter must ignore the metric and search: poisoned
+// rows, whose every ball is the lone center, change nothing there,
+// while over the whole graph they do change the cover.
+func TestCoverFromMetricMatchesSearch(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		g := gen.Gnp(seed, 90, 5.0/90, gen.Uniform(1, 6))
+		rows := sssp.AllPairs(g)
+		poisoned := make([]*sssp.Result, len(rows))
+		for v, r := range rows {
+			poisoned[v] = &sssp.Result{Source: r.Source, Dist: r.Dist, Order: r.Order[:1]}
+		}
+		strict, full := make([]bool, g.N()), make([]bool, g.N())
+		for v := range strict {
+			strict[v], full[v] = v%4 != 0, true
+		}
+		for _, rho := range []float64{1, 3, 6, 12} {
+			build := func(member []bool, metric []*sssp.Result) *Snapshot {
+				t.Helper()
+				c, err := Build(g, Params{K: 3, Rho: rho, UniverseN: g.N(), Member: member, Metric: metric})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c.Snapshot()
+			}
+			searched := build(nil, nil)
+			// A filter admitting every node is the whole graph too.
+			for _, member := range [][]bool{nil, full} {
+				if !reflect.DeepEqual(build(member, rows), searched) {
+					t.Fatalf("seed %d ρ=%v: the cover read off the metric differs from the searched one", seed, rho)
+				}
+				if rho >= 3 && reflect.DeepEqual(build(member, poisoned), searched) {
+					t.Fatalf("seed %d ρ=%v: poisoned rows left the whole-graph cover unchanged, so it did not read them", seed, rho)
+				}
+			}
+			searched = build(strict, nil)
+			if !reflect.DeepEqual(build(strict, rows), searched) || !reflect.DeepEqual(build(strict, poisoned), searched) {
+				t.Fatalf("seed %d ρ=%v: a member-filtered cover read the metric", seed, rho)
+			}
+		}
+	}
+}
+
+func TestMetricLengthValidated(t *testing.T) {
+	g := gen.Path(15, 5, gen.Unit())
+	if _, err := Build(g, Params{K: 2, Rho: 1, Metric: sssp.AllPairs(g)[:4]}); err == nil {
+		t.Fatal("short metric accepted")
 	}
 }

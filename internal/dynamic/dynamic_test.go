@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"compactroute/internal/codec"
+	"compactroute/internal/core"
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
 	"compactroute/internal/routeerr"
@@ -363,6 +364,30 @@ func TestTopologyRebuildSwapsAndMatchesColdBuild(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTopologyVersionZeroFromMetric: version 0 builds from the rows it
+// is given, and the paper kind keeps those very rows as its metric. A
+// row count that does not match the graph is refused, and the topology
+// drops its reference to the rows once version 0 is built.
+func TestTopologyVersionZeroFromMetric(t *testing.T) {
+	g := testGraph(t, 64, 23)
+	all := sssp.AllPairs(g)
+	cfgs := []schemes.Config{{Kind: schemes.KindPaper, K: 2, Seed: 1}}
+	if _, err := NewTopology(context.Background(), g, TopologyOptions{Configs: cfgs, Metric: all[:63]}); err == nil {
+		t.Fatal("a metric missing a row was accepted")
+	}
+	tp, err := NewTopology(context.Background(), g, TopologyOptions{Configs: cfgs, Metric: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp.opts.Metric != nil {
+		t.Fatal("the topology kept version 0's rows")
+	}
+	rows := tp.Current().Scheme(schemes.KindPaper).(*core.Scheme).Decomposition().Results()
+	if len(rows) != len(all) || &rows[0] != &all[0] {
+		t.Fatal("version 0's paper scheme does not hold the given rows")
 	}
 }
 

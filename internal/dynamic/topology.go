@@ -44,6 +44,7 @@ type Version struct {
 	graph   *graph.Graph
 	engine  *sim.Engine
 	schemes map[string]schemes.Scheme
+	kinds   []string // the keys of schemes, sorted
 }
 
 // Graph returns the sealed topology.
@@ -52,15 +53,10 @@ func (v *Version) Graph() *graph.Graph { return v.graph }
 // Scheme returns the built scheme of one kind, or nil.
 func (v *Version) Scheme(kind string) schemes.Scheme { return v.schemes[kind] }
 
-// Kinds returns the kinds built into this version, sorted.
-func (v *Version) Kinds() []string {
-	out := make([]string, 0, len(v.schemes))
-	for kind := range v.schemes {
-		out = append(out, kind)
-	}
-	sort.Strings(out)
-	return out
-}
+// Kinds returns the kinds built into this version, sorted. The slice
+// is the version's own, sorted once when it was built: read it, do not
+// modify it.
+func (v *Version) Kinds() []string { return v.kinds }
 
 // Route routes one message on this version's scheme of the given
 // kind, entirely on this version — the caller owns the version
@@ -88,6 +84,13 @@ type TopologyOptions struct {
 	// Workers bounds the streaming build's shortest-path fan-out;
 	// 0 means GOMAXPROCS.
 	Workers int
+	// Metric, when set, is the all-pairs shortest paths of the graph
+	// NewTopology seals (sssp.AllPairs output, one row per node).
+	// Version 0 builds from these rows instead of streaming its own,
+	// and a kind that keeps the metric (paper) shares them. Later
+	// versions always stream; the topology drops its reference once
+	// version 0 is built.
+	Metric []*sssp.Result
 	// PreSwap, when set, runs after a candidate version is fully built
 	// and before it is swapped in. It is the hook for anything heavy
 	// that must complete before the version serves — computing the
@@ -115,9 +118,10 @@ type Topology struct {
 }
 
 // NewTopology seals g as version 0, builds its schemes synchronously
-// in the calling goroutine, and starts the mutation log. The context
-// cancels the version-0 build (builds at scale take seconds to
-// minutes; construction should not outlive its caller).
+// in the calling goroutine — from opts.Metric when set, else streamed
+// — and starts the mutation log. The context cancels the version-0
+// build (builds at scale take seconds to minutes; construction should
+// not outlive its caller).
 func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*Topology, error) {
 	if len(opts.Configs) == 0 {
 		return nil, fmt.Errorf("dynamic: NewTopology needs at least one scheme config")
@@ -129,8 +133,16 @@ func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*To
 		}
 		seen[cfg.Kind] = true
 	}
+	src := sssp.Streamed(g, opts.Workers)
+	if opts.Metric != nil {
+		if len(opts.Metric) != g.N() {
+			return nil, fmt.Errorf("dynamic: version 0 metric has %d rows for %d nodes", len(opts.Metric), g.N())
+		}
+		src = sssp.Materialized(g, opts.Metric)
+		opts.Metric = nil // version 0 keeps the rows it uses, and only while it lives
+	}
 	t := &Topology{opts: opts, log: NewLog(g)}
-	v0, err := t.build(ctx, g, 0, 0, 0, 0)
+	v0, err := t.build(ctx, g, src, 0, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +155,9 @@ func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*To
 	return t, nil
 }
 
-// build constructs one version over g through the streaming pipeline.
-func (t *Topology) build(ctx context.Context, g *graph.Graph, id, parent, mutFrom, mutTo uint64) (*Version, error) {
+// build constructs one version over g from the shortest-path rows src
+// delivers.
+func (t *Topology) build(ctx context.Context, g *graph.Graph, src sssp.Source, id, parent, mutFrom, mutTo uint64) (*Version, error) {
 	v := &Version{
 		ID:      id,
 		Parent:  parent,
@@ -153,15 +166,18 @@ func (t *Topology) build(ctx context.Context, g *graph.Graph, id, parent, mutFro
 		graph:   g,
 		engine:  sim.NewEngine(g),
 		schemes: make(map[string]schemes.Scheme, len(t.opts.Configs)),
+		kinds:   make([]string, 0, len(t.opts.Configs)),
 	}
 	t0 := time.Now()
 	for _, cfg := range t.opts.Configs {
-		s, err := schemes.BuildStream(ctx, g, sssp.Streamed(g, t.opts.Workers), cfg)
+		s, err := schemes.BuildStream(ctx, g, src, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: building version %d kind %q: %w", id, cfg.Kind, err)
 		}
 		v.schemes[cfg.Kind] = s
+		v.kinds = append(v.kinds, cfg.Kind)
 	}
+	sort.Strings(v.kinds)
 	v.BuildWall = time.Since(t0)
 	return v, nil
 }
@@ -254,7 +270,7 @@ func (t *Topology) stageLocked(ctx context.Context) (*Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	next, err := t.build(ctx, g, cur.ID+1, cur.ID, cur.MutTo, to)
+	next, err := t.build(ctx, g, sssp.Streamed(g, t.opts.Workers), cur.ID+1, cur.ID, cur.MutTo, to)
 	if err != nil {
 		return nil, err
 	}

@@ -108,15 +108,17 @@ func errorStatus(w http.ResponseWriter, err error) {
 }
 
 // routeVersioned routes through the pool and pins the topology version
-// the answer belongs to. The version is read on both sides of the
-// route: when the reads agree, no swap ran in between, so the route
-// was computed on exactly that version. A swap racing the route (rare:
-// swaps are sub-millisecond events) retries; after a few lost races
-// the answer ships with the latest version, best effort.
-func (s *Server) routeVersioned(ctx context.Context, src, dst uint64) (compactroute.Result, *uint64, error) {
+// the answer belongs to (0 on a static scheme, which has none). The
+// version is read on both sides of the route: when the reads agree, no
+// swap ran in between, so the route was computed on exactly that
+// version. A swap racing the route (rare: swaps are sub-millisecond
+// events) retries; after a few lost races the answer ships with the
+// latest version, best effort. It allocates nothing beyond the pool's
+// route.
+func (s *Server) routeVersioned(ctx context.Context, src, dst uint64) (compactroute.Result, uint64, error) {
 	if s.dyn == nil {
 		res, err := s.pool.Route(ctx, src, dst)
-		return res, nil, err
+		return res, 0, err
 	}
 	var res compactroute.Result
 	var err error
@@ -124,14 +126,13 @@ func (s *Server) routeVersioned(ctx context.Context, src, dst uint64) (compactro
 		before := s.dyn.Version().ID
 		res, err = s.pool.Route(ctx, src, dst)
 		if err != nil {
-			return res, nil, err
+			return res, 0, err
 		}
 		if after := s.dyn.Version().ID; after == before {
-			return res, &after, nil
+			return res, after, nil
 		}
 	}
-	v := s.dyn.Version().ID
-	return res, &v, nil
+	return res, s.dyn.Version().ID, nil
 }
 
 // handleRoute answers in the wire shape the client decodes
@@ -152,7 +153,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		Cost:       res.Cost,
 		Hops:       res.Hops,
 		HeaderBits: res.HeaderBits,
-		Version:    version,
+	}
+	if s.dyn != nil {
+		resp.Version = &version
 	}
 	if res.MetricKnown {
 		resp.ShortestCost = res.ShortestCost

@@ -79,9 +79,11 @@ type Config struct {
 	// SFactor is the landmark S-set constant for kind paper (0: 0.25).
 	SFactor float64
 
-	// Metric computes the shortest-path metric at startup — and per
-	// rebuilt version — so responses carry true stretch (costs one
-	// APSP each time; kind-built schemes start with one regardless).
+	// Metric computes the shortest-path metric so responses carry true
+	// stretch: at start-up for a scheme file, and for every rebuilt
+	// version before it serves (one APSP each time). Kind-built schemes
+	// start with one regardless: the network computes it and version 0
+	// is built from that same metric, so start-up runs one APSP.
 	Metric bool
 
 	// Workers bounds concurrent route computations (0: GOMAXPROCS).

@@ -203,8 +203,12 @@ func (s *streamed) Each(ctx context.Context, fn func(r *Result) error) error {
 // Materialize collects a Source into the historical []*Result form for
 // builders that genuinely need random access across rows (the paper's
 // scheme: its decomposition keeps the metric for lazy ball queries
-// throughout construction and verification). An already-materialized
-// source is returned as-is without copying or recomputation.
+// throughout construction and verification, and its covers read their
+// balls off it). An already-materialized source is returned as-is,
+// without copying or recomputation, so the builder shares the caller's
+// rows — a dynamic topology's version 0 over a warm network keeps the
+// network's own metric this way — and every holder must treat them as
+// read-only.
 func Materialize(ctx context.Context, src Source) ([]*Result, error) {
 	// The already-materialized fast path must still honor ctx, or a
 	// canceled build over a warm network would sail through to the
