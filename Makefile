@@ -116,6 +116,7 @@ benchjson:
 fuzz:
 	$(GO) test -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s -fuzzminimizetime 20x ./internal/codec
 	$(GO) test -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 10s -fuzzminimizetime 20x ./internal/dynamic
+	$(GO) test -run FuzzRouteCodec -fuzz FuzzRouteCodec -fuzztime 10s -fuzzminimizetime 20x ./client
 
 # End-to-end serving smoke: scheme build -> routed -> loadgen replay
 # of three workload patterns -> graceful SIGTERM drain.

@@ -86,6 +86,37 @@ func BenchmarkDynamicStart512(b *testing.B) {
 	}
 }
 
+// BenchmarkDynamicRebuildMetric512 is one rebuild of routed -metric's
+// shard (the BenchmarkDynamicStart512 shard with EnsureMetric): one
+// pending weight change, replayed and built into a version that
+// carries its metric.
+func BenchmarkDynamicRebuildMetric512(b *testing.B) {
+	net := compactroute.RandomNetwork(1, 512, 8.0/512, compactroute.UniformWeights(1, 8))
+	d, err := compactroute.NewDynamic(net, compactroute.DynamicOptions{
+		Configs:      []compactroute.Config{{Kind: compactroute.KindPaper, K: 3, Seed: 1, SFactor: 0.25}},
+		EnsureMetric: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := net.Graph()
+	u := g.Name(0)
+	var v uint64
+	g.Neighbors(0, func(e graph.Edge) bool {
+		v = g.Name(e.To)
+		return false
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Apply(compactroute.MutSetWeight(u, v, float64(2+i%2))); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Rebuild(b.Context()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // routeBench holds prebuilt schemes shared by the routing throughput
 // benchmarks (construction excluded from timing).
 var routeBench struct {

@@ -24,7 +24,9 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"compactroute"
@@ -60,6 +62,12 @@ type Client struct {
 	// many small keep-alive requests to one host.
 	HTTP *http.Client
 }
+
+// maxBody caps how much of a response body the client reads.
+const maxBody = 16 << 20
+
+// bodyBufs pools the buffers RouteByName reads answers into.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // New returns a client for the server at baseURL (scheme://host:port;
 // any trailing slash is trimmed).
@@ -118,11 +126,70 @@ type RebuildReply struct {
 	Pending uint64 `json:"pending"`
 }
 
-// RouteByName routes between two external names.
+// RouteByName routes between two external names. It is the read
+// path: the query is appended with strconv, the answer is read into a
+// pooled buffer and decoded without reflection, and it goes through
+// c.HTTP like every other call.
 func (c *Client) RouteByName(ctx context.Context, src, dst uint64) (Route, error) {
-	var out Route
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/route?src=%d&dst=%d", src, dst), nil, &out)
-	return out, err
+	const path = "/v1/route"
+	u := make([]byte, 0, len(c.BaseURL)+64)
+	u = append(u, c.BaseURL...)
+	u = append(u, path+"?src="...)
+	u = strconv.AppendUint(u, src, 10)
+	u = append(u, "&dst="...)
+	u = strconv.AppendUint(u, dst, 10)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
+	if err != nil {
+		return Route{}, fmt.Errorf("client: %s: %w", path, err)
+	}
+	if tr := obs.FromContext(ctx); tr != nil {
+		req.Header.Set(obs.Header, tr.ID())
+	}
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		return Route{}, err
+	}
+	defer resp.Body.Close()
+	buf := bodyBufs.Get().(*[]byte)
+	raw, err := readBody((*buf)[:0], resp.Body)
+	defer func() {
+		// An outsized answer is not kept for the next read.
+		if cap(raw) <= 64<<10 {
+			*buf = raw
+			bodyBufs.Put(buf)
+		}
+	}()
+	if err != nil {
+		return Route{}, fmt.Errorf("client: reading %s response: %w", path, err)
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return Route{}, apiError(resp.StatusCode, raw)
+	}
+	out, err := decodeRoute(raw)
+	if err != nil {
+		return out, fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return out, nil
+}
+
+// readBody appends what r yields to b until EOF or until b holds
+// maxBody bytes: io.ReadAll(io.LimitReader(r, maxBody)), into a
+// buffer the caller supplies.
+func readBody(b []byte, r io.Reader) ([]byte, error) {
+	for len(b) < maxBody {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):min(cap(b), maxBody)])
+		b = b[:len(b)+n]
+		if errors.Is(err, io.EOF) {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+	return b, nil
 }
 
 // Mutate appends topology mutations atomically (all or none).
@@ -215,19 +282,12 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := readBody(make([]byte, 0, 512), resp.Body)
 	if err != nil {
 		return fmt.Errorf("client: reading %s response: %w", path, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(raw))
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &Error{Status: resp.StatusCode, Message: msg}
+		return apiError(resp.StatusCode, raw)
 	}
 	if out == nil {
 		return nil
@@ -236,4 +296,17 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil
+}
+
+// apiError is the *Error for a non-2xx answer: the server's JSON error
+// message, or the whole trimmed body when it carries none.
+func apiError(status int, raw []byte) *Error {
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := strings.TrimSpace(string(raw))
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &Error{Status: status, Message: msg}
 }

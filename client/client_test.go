@@ -11,6 +11,7 @@ import (
 	"compactroute"
 	"compactroute/client"
 	"compactroute/internal/graph"
+	"compactroute/internal/memhttp"
 	"compactroute/internal/server"
 )
 
@@ -122,5 +123,36 @@ func TestClientErrorTaxonomy(t *testing.T) {
 	gone := client.New(dead.URL)
 	if _, err := gone.Healthz(ctx); err == nil || errors.As(err, &apiErr) {
 		t.Fatalf("dead server: %v, want transport error", err)
+	}
+}
+
+// TestRouteByNameAllocs pins a client read's allocations over an
+// in-memory transport that serves each request with a shard's handler
+// in the caller's goroutine, so every allocation counted is the
+// client's, http.Client's, the recorder's or the shard's own (43 when
+// the client formatted, parsed and reflected per read).
+func TestRouteByNameAllocs(t *testing.T) {
+	if memhttp.RaceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	srv, err := server.New(server.Config{Scheme: compactroute.KindPaper, N: 256, K: 3, Seed: 5, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	g := srv.Scheme().Network().Graph()
+	c := client.New("http://shard.test")
+	c.HTTP = memhttp.Client(srv.Handler())
+	ctx := context.Background()
+	q := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		q++
+		src, dst := g.Name(compactroute.NodeID(q%256)), g.Name(compactroute.NodeID((q*131+17)%256))
+		if res, err := c.RouteByName(ctx, src, dst); err != nil || res.Version == nil {
+			t.Fatalf("RouteByName: %+v, %v", res, err)
+		}
+	})
+	if allocs > 26 {
+		t.Fatalf("RouteByName: %.2f allocations per read, want at most 26", allocs)
 	}
 }

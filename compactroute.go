@@ -175,6 +175,17 @@ func (n *Network) EnsureMetric() {
 	}
 }
 
+// adoptMetric publishes already-computed rows as the metric unless
+// the network has one, under the lock EnsureMetric computes under, so
+// the network still holds at most one metric.
+func (n *Network) adoptMetric(rows []*sssp.Result) {
+	n.metricMu.Lock()
+	defer n.metricMu.Unlock()
+	if !n.HasMetric() {
+		n.apsp.Store(&rows)
+	}
+}
+
 // Distance returns the shortest-path distance between two nodes. It
 // panics on a loaded network without EnsureMetric; use TryDistance
 // where the metric may legitimately be absent.

@@ -166,7 +166,8 @@ type DynamicOptions struct {
 	// before it swaps in, so routed results always carry true stretch
 	// (Result.MetricKnown). It costs one APSP per rebuild, in the
 	// background — never on the serving path, and never after the
-	// swap.
+	// swap — and every kind builds from those rows, so a version
+	// computes and holds its metric once.
 	EnsureMetric bool
 	// SnapshotDir, when set, persists every version before it swaps
 	// in: the sealed graph, each persistable kind with its lineage
@@ -205,8 +206,10 @@ type dynVersion struct {
 // NewDynamic seals net's graph as version 0, builds its schemes
 // synchronously, and returns the live handle. The network's metric —
 // if it has one — is version 0's build input and serves its stretch
-// reporting; a lazy network's version 0 streams, and later versions
-// stream and follow DynamicOptions.EnsureMetric. The handle keeps no
+// reporting. Otherwise version 0 streams its rows, and later versions
+// always do, unless DynamicOptions.EnsureMetric is set: then each
+// version computes its rows once and builds from them, and a lazy
+// net adopts version 0's rows as its metric. The handle keeps no
 // reference to net: it lives as long as version 0 does.
 func NewDynamic(net *Network, o DynamicOptions) (*Dynamic, error) {
 	return NewDynamicCtx(context.Background(), net, o)
@@ -225,10 +228,11 @@ func NewDynamicCtx(ctx context.Context, net *Network, o DynamicOptions) (*Dynami
 		d.store = st
 	}
 	top, err := dynamic.NewTopology(ctx, net.g, dynamic.TopologyOptions{
-		Configs: o.Configs,
-		Workers: o.Workers,
-		Metric:  net.metric(),
-		PreSwap: d.preSwap,
+		Configs:      o.Configs,
+		Workers:      o.Workers,
+		Metric:       net.metric(),
+		EnsureMetric: o.EnsureMetric,
+		PreSwap:      d.preSwap,
 	})
 	if err != nil {
 		return nil, err
@@ -259,15 +263,19 @@ func (d *Dynamic) notify(vi VersionInfo) {
 }
 
 // preSwap readies a freshly built version for serving: the facade
-// wrappers, the optional metric, and the optional snapshot — all the
-// expensive work, strictly before the swap.
+// wrappers, the metric the version was built from, and the optional
+// snapshot — all the expensive work, strictly before the swap.
 func (d *Dynamic) preSwap(v *dynamic.Version) error {
-	net := &Network{g: v.Graph()}
+	// The network reports stretch from the rows the schemes were built
+	// from; with EnsureMetric every version has them.
+	var net *Network
 	if v.ID == 0 && d.baseNet != nil {
 		net = d.baseNet
-	}
-	if d.opts.EnsureMetric {
-		net.EnsureMetric()
+		if rows := v.Metric(); rows != nil {
+			net.adoptMetric(rows)
+		}
+	} else {
+		net = adoptNetwork(v.Graph(), v.Metric())
 	}
 	ds := &dynVersion{net: net, schemes: make(map[string]*Scheme, len(d.opts.Configs))}
 	for _, kind := range v.Kinds() {

@@ -325,6 +325,77 @@ func TestDynamicVersionZeroReusesMetric(t *testing.T) {
 	}
 }
 
+// TestDynamicEnsureMetricComputesOnce: with EnsureMetric every
+// version computes its metric once. Version 0 over a lazy network and
+// a rebuilt version both build from rows the network then holds — the
+// paper scheme's rows are the network's own — so answers carry the
+// metric, and the rebuilt version routes exactly as a cold build of
+// the replayed topology.
+func TestDynamicEnsureMetricComputesOnce(t *testing.T) {
+	net := dynNet(t, 128, 3)
+	lazy := WrapGraphLazy(net.Graph())
+	cfgs := []Config{{Kind: KindPaper, K: 3, Seed: 5, SFactor: 0.25}, {Kind: KindTZ, K: 2, Seed: 5}}
+	d, err := NewDynamic(lazy, DynamicOptions{Configs: cfgs, EnsureMetric: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows := func(version string) {
+		t.Helper()
+		rows := d.Network().metric()
+		shared := d.Scheme(KindPaper).Core().Decomposition().Results()
+		if len(rows) != d.Network().N() || len(shared) != len(rows) {
+			t.Fatalf("%s: network has %d rows, the paper scheme %d, for %d nodes", version, len(rows), len(shared), d.Network().N())
+		}
+		for v := range rows {
+			if shared[v] != rows[v] {
+				t.Fatalf("%s: row %d of the paper scheme is not the network's", version, v)
+			}
+		}
+	}
+	sameRows("version 0")
+	if !lazy.HasMetric() {
+		t.Fatal("version 0 over a lazy network left it without the metric it built from")
+	}
+
+	muts, err := GenerateMutations(net, 20, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Apply(muts...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Rebuild(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sameRows("version 1")
+
+	cold, err := ReplayNetwork(net, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cold.Graph()
+	for _, cfg := range cfgs {
+		want, err := Build(cold, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Scheme(cfg.Kind); got.MaxTableBits() != want.MaxTableBits() || got.MeanTableBits() != want.MeanTableBits() {
+			t.Fatalf("%s: table bits %d/%v rebuilt, %d/%v cold", cfg.Kind, got.MaxTableBits(), got.MeanTableBits(), want.MaxTableBits(), want.MeanTableBits())
+		}
+		for q := 0; q < 300; q++ {
+			src, dst := g.Name(NodeID(q%g.N())), g.Name(NodeID((q*37+11)%g.N()))
+			got := mustRoute(t, d, cfg.Kind, src, dst)
+			w, err := want.RouteByName(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != w || !got.MetricKnown {
+				t.Fatalf("%s %#x→%#x: rebuilt %+v, cold %+v", cfg.Kind, src, dst, got, w)
+			}
+		}
+	}
+}
+
 // TestDynamicReleasesVersionZeroNetwork: the handle does not pin the
 // network it was built over. Version 0 holds it while it serves, and
 // the first swap releases it, graph and Θ(n²) metric together.

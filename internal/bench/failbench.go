@@ -159,11 +159,13 @@ func degradedGraph(g *graph.Graph, fs *dynamic.FaultSet) (*graph.Graph, error) {
 // repairerOver wraps scheme s in a repair layer whose walks run on a
 // fresh traced engine per call (the layer routes both directions
 // concurrently). The clock is pinned so damping penalties — and with
-// them every tie-break — are identical run to run.
+// them every tie-break — are identical run to run. D2 runs
+// best-of-both, so the layer never takes its pathless walk; that walk
+// is the traced one with the path dropped.
 func repairerOver(g *graph.Graph, s sim.Router, o serve.RepairOptions) *serve.Repairer {
 	t0 := time.Unix(0, 0)
 	o.Now = func() time.Time { return t0 }
-	return serve.NewRepairer(func(ctx context.Context, srcName, dstName uint64) (compactroute.Result, []uint64, error) {
+	route := func(ctx context.Context, srcName, dstName uint64) (compactroute.Result, []uint64, error) {
 		src, ok := g.Lookup(srcName)
 		if !ok {
 			return compactroute.Result{}, nil, fmt.Errorf("D2: unknown source %d", srcName)
@@ -175,6 +177,10 @@ func repairerOver(g *graph.Graph, s sim.Router, o serve.RepairOptions) *serve.Re
 			return compactroute.Result{}, nil, err
 		}
 		return compactroute.Result{Delivered: res.Delivered, Cost: res.Cost, Hops: res.Hops}, path, nil
+	}
+	return serve.NewRepairer(route, func(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error) {
+		res, _, err := route(ctx, srcName, dstName)
+		return res, err
 	}, o)
 }
 

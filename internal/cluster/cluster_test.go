@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"compactroute"
 	"compactroute/client"
 	"compactroute/internal/graph"
+	"compactroute/internal/memhttp"
 	"compactroute/internal/server"
 )
 
@@ -247,6 +249,57 @@ func TestOneShardCallPerRoute(t *testing.T) {
 	}
 	if st := c.Stats(); st.Routes != routes || st.Proxied != routes || st.Scattered != 0 {
 		t.Fatalf("after %d routes: %+v", routes, st)
+	}
+}
+
+// TestFrontDoorRouteAllocs pins a front-door read's allocations:
+// Cluster.Handler() into a reused writer, with each shard served in
+// memory (memhttp), so the count covers the front-door, its shard
+// client, the in-memory transport and the shard's handler, and
+// nothing else (50 when both tiers reflected the answer).
+func TestFrontDoorRouteAllocs(t *testing.T) {
+	if memhttp.RaceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	cfg := server.Config{Scheme: compactroute.KindPaper, N: 256, K: 3, Seed: 5, Logf: discardLogf}
+	var urls []string
+	var handlers []http.Handler
+	var g *graph.Graph
+	for i := range 2 {
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		g = srv.Scheme().Network().Graph()
+		urls = append(urls, fmt.Sprintf("http://shard%d.test", i))
+		handlers = append(handlers, srv.Handler())
+	}
+	c, err := New(Options{Shards: urls, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range c.shards {
+		s.c.HTTP = memhttp.Client(handlers[i])
+	}
+	h := c.Handler()
+	reqs := make([]*http.Request, 256)
+	for q := range reqs {
+		src, dst := g.Name(compactroute.NodeID(q)), g.Name(compactroute.NodeID((q*131+17)%256))
+		reqs[q] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/route?src=%d&dst=%d", src, dst), nil)
+	}
+	var w memhttp.Writer
+	q := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		q++
+		w.Reset()
+		h.ServeHTTP(&w, reqs[q%len(reqs)])
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	})
+	if allocs > 28 {
+		t.Fatalf("front-door read: %.2f allocations, want at most 28", allocs)
 	}
 }
 

@@ -85,7 +85,7 @@ func (c *Cluster) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if res.Delivered && res.Stretch > 0 {
 		c.metrics.ObserveStretch("cluster", res.Stretch)
 	}
-	server.WriteJSON(w, res)
+	server.WriteRoute(w, res)
 }
 
 // handleMutate accepts the same body as a shard (one mutation object

@@ -44,7 +44,8 @@ type Version struct {
 	graph   *graph.Graph
 	engine  *sim.Engine
 	schemes map[string]schemes.Scheme
-	kinds   []string // the keys of schemes, sorted
+	kinds   []string       // the keys of schemes, sorted
+	metric  []*sssp.Result // the rows the schemes were built from, if materialized
 }
 
 // Graph returns the sealed topology.
@@ -52,6 +53,12 @@ func (v *Version) Graph() *graph.Graph { return v.graph }
 
 // Scheme returns the built scheme of one kind, or nil.
 func (v *Version) Scheme(kind string) schemes.Scheme { return v.schemes[kind] }
+
+// Metric returns the all-pairs shortest paths the version's schemes
+// were built from, one row per node, or nil when they streamed them.
+// A paper scheme of the version holds these same rows. Read them, do
+// not modify them.
+func (v *Version) Metric() []*sssp.Result { return v.metric }
 
 // Kinds returns the kinds built into this version, sorted. The slice
 // is the version's own, sorted once when it was built: read it, do not
@@ -87,14 +94,17 @@ type TopologyOptions struct {
 	// Metric, when set, is the all-pairs shortest paths of the graph
 	// NewTopology seals (sssp.AllPairs output, one row per node).
 	// Version 0 builds from these rows instead of streaming its own,
-	// and a kind that keeps the metric (paper) shares them. Later
-	// versions always stream; the topology drops its reference once
-	// version 0 is built.
+	// and a kind that keeps the metric (paper) shares them. The
+	// topology drops its reference once version 0 is built.
 	Metric []*sssp.Result
+	// EnsureMetric gives every version its metric (Version.Metric): a
+	// version without given rows computes them once, and every kind
+	// builds from them. Without it, later versions stream their rows.
+	EnsureMetric bool
 	// PreSwap, when set, runs after a candidate version is fully built
 	// and before it is swapped in. It is the hook for anything heavy
-	// that must complete before the version serves — computing the
-	// metric, persisting the snapshot (Store.Save). An error aborts
+	// that must complete before the version serves — persisting the
+	// snapshot (Store.Save). An error aborts
 	// the rebuild; the old version keeps serving and the mutation
 	// range stays pending.
 	PreSwap func(*Version) error
@@ -133,16 +143,13 @@ func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*To
 		}
 		seen[cfg.Kind] = true
 	}
-	src := sssp.Streamed(g, opts.Workers)
-	if opts.Metric != nil {
-		if len(opts.Metric) != g.N() {
-			return nil, fmt.Errorf("dynamic: version 0 metric has %d rows for %d nodes", len(opts.Metric), g.N())
-		}
-		src = sssp.Materialized(g, opts.Metric)
-		opts.Metric = nil // version 0 keeps the rows it uses, and only while it lives
+	rows := opts.Metric
+	if rows != nil && len(rows) != g.N() {
+		return nil, fmt.Errorf("dynamic: version 0 metric has %d rows for %d nodes", len(rows), g.N())
 	}
+	opts.Metric = nil // version 0 keeps the rows it uses, and only while it lives
 	t := &Topology{opts: opts, log: NewLog(g)}
-	v0, err := t.build(ctx, g, src, 0, 0, 0, 0)
+	v0, err := t.build(ctx, g, rows, 0, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -155,9 +162,21 @@ func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*To
 	return t, nil
 }
 
-// build constructs one version over g from the shortest-path rows src
-// delivers.
-func (t *Topology) build(ctx context.Context, g *graph.Graph, src sssp.Source, id, parent, mutFrom, mutTo uint64) (*Version, error) {
+// build constructs one version over g from the given shortest-path
+// rows, or, when rows is nil, from rows it computes once
+// (EnsureMetric) or streams.
+func (t *Topology) build(ctx context.Context, g *graph.Graph, rows []*sssp.Result, id, parent, mutFrom, mutTo uint64) (*Version, error) {
+	t0 := time.Now()
+	src := sssp.Streamed(g, t.opts.Workers)
+	if rows == nil && t.opts.EnsureMetric {
+		var err error
+		if rows, err = sssp.Materialize(ctx, src); err != nil {
+			return nil, fmt.Errorf("dynamic: version %d metric: %w", id, err)
+		}
+	}
+	if rows != nil {
+		src = sssp.Materialized(g, rows)
+	}
 	v := &Version{
 		ID:      id,
 		Parent:  parent,
@@ -167,8 +186,8 @@ func (t *Topology) build(ctx context.Context, g *graph.Graph, src sssp.Source, i
 		engine:  sim.NewEngine(g),
 		schemes: make(map[string]schemes.Scheme, len(t.opts.Configs)),
 		kinds:   make([]string, 0, len(t.opts.Configs)),
+		metric:  rows,
 	}
-	t0 := time.Now()
 	for _, cfg := range t.opts.Configs {
 		s, err := schemes.BuildStream(ctx, g, src, cfg)
 		if err != nil {
@@ -270,7 +289,7 @@ func (t *Topology) stageLocked(ctx context.Context) (*Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	next, err := t.build(ctx, g, sssp.Streamed(g, t.opts.Workers), cur.ID+1, cur.ID, cur.MutTo, to)
+	next, err := t.build(ctx, g, nil, cur.ID+1, cur.ID, cur.MutTo, to)
 	if err != nil {
 		return nil, err
 	}

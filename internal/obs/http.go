@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,8 +29,11 @@ type HTTP struct {
 }
 
 // Observe wraps next with the per-request observability boundary for
-// the given endpoint label.
+// the given endpoint label. The endpoint's series are resolved on its
+// first request and kept by the wrapper, so later requests count
+// themselves without a lookup.
 func (h *HTTP) Observe(endpoint string, next http.HandlerFunc) http.HandlerFunc {
+	var stats atomic.Pointer[endpointStats]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tr := h.Tracer.Begin(r.Header.Get(Header))
@@ -40,7 +44,14 @@ func (h *HTTP) Observe(endpoint string, next http.HandlerFunc) http.HandlerFunc 
 		sw := &StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		next(sw, r)
 		dur := time.Since(start)
-		h.Metrics.ObserveRequest(endpoint, sw.Status, dur.Seconds())
+		ep := stats.Load()
+		if ep == nil {
+			ep = h.Metrics.endpoint(endpoint)
+			stats.Store(ep)
+		}
+		if ep != nil {
+			ep.observe(sw.Status, dur.Seconds())
+		}
 		if tr != nil {
 			tr.Finish(endpoint, sw.Status)
 			h.Tracer.Store(tr)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"compactroute/internal/stats"
 )
@@ -230,9 +231,21 @@ type Metrics struct {
 	stretch   map[string]*Hist
 }
 
+// statusClasses are the exposition's status classes, in label order.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx", "other"}
+
+// endpointStats is one endpoint's series. Its status counts are
+// atomics, so a request counts itself without a lock shared by the
+// tier; a class is exposed once it has counted a request.
 type endpointStats struct {
-	classes map[string]uint64
-	lat     *Window
+	classes [len(statusClasses)]atomic.Uint64
+	lat     Window
+}
+
+// observe records one finished request.
+func (ep *endpointStats) observe(status int, seconds float64) {
+	ep.classes[classIndex(status)].Add(1)
+	ep.lat.Observe(seconds)
 }
 
 // NewMetrics returns an empty accumulator.
@@ -243,35 +256,30 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// StatusClass maps an HTTP status to its exposition class label.
-func StatusClass(status int) string {
-	switch {
-	case status >= 200 && status < 300:
-		return "2xx"
-	case status >= 300 && status < 400:
-		return "3xx"
-	case status >= 400 && status < 500:
-		return "4xx"
-	case status >= 500 && status < 600:
-		return "5xx"
+// classIndex maps an HTTP status to the index of its exposition class
+// label in statusClasses.
+func classIndex(status int) int {
+	if status >= 200 && status < 600 {
+		return status/100 - 2
 	}
-	return "other"
+	return len(statusClasses) - 1
 }
 
-// ObserveRequest records one finished request.
-func (m *Metrics) ObserveRequest(endpoint string, status int, seconds float64) {
+// endpoint returns an endpoint's series, creating them on first use
+// (HTTP.Observe resolves them once per wrapped handler); nil on a nil
+// Metrics.
+func (m *Metrics) endpoint(name string) *endpointStats {
 	if m == nil {
-		return
+		return nil
 	}
 	m.mu.Lock()
-	ep := m.endpoints[endpoint]
+	defer m.mu.Unlock()
+	ep := m.endpoints[name]
 	if ep == nil {
-		ep = &endpointStats{classes: make(map[string]uint64), lat: &Window{}}
-		m.endpoints[endpoint] = ep
+		ep = &endpointStats{}
+		m.endpoints[name] = ep
 	}
-	ep.classes[StatusClass(status)]++
-	m.mu.Unlock()
-	ep.lat.Observe(seconds)
+	return ep
 }
 
 // ObserveStretch records the stretch of one served route with a
@@ -328,21 +336,12 @@ func (m *Metrics) Families() []Family {
 		Help: fmt.Sprintf("request latency over the last %d requests (window buckets, not cumulative across scrapes)", windowSize)}
 	for i, name := range epNames {
 		ep := eps[i]
-		m.mu.Lock()
-		classes := make([]string, 0, len(ep.classes))
-		for c := range ep.classes {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		counts := make([]uint64, len(classes))
-		for j, c := range classes {
-			counts[j] = ep.classes[c]
-		}
-		m.mu.Unlock()
-		for j, c := range classes {
-			reqs.Points = append(reqs.Points, Point{
-				Labels: []Label{{"endpoint", name}, {"class", c}},
-				Value:  float64(counts[j])})
+		for j, c := range statusClasses {
+			if n := ep.classes[j].Load(); n > 0 {
+				reqs.Points = append(reqs.Points, Point{
+					Labels: []Label{{"endpoint", name}, {"class", c}},
+					Value:  float64(n)})
+			}
 		}
 		xs, count, sum := ep.lat.Snapshot()
 		var s stats.Sample

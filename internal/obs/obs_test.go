@@ -185,9 +185,9 @@ func TestMetricsTextRoundTripAndMonotonicity(t *testing.T) {
 		return -1
 	}
 
-	m.ObserveRequest("/route", 200, 0.001)
-	m.ObserveRequest("/route", 200, 0.002)
-	m.ObserveRequest("/route", 503, 0.0001)
+	m.endpoint("/route").observe(200, 0.001)
+	m.endpoint("/route").observe(200, 0.002)
+	m.endpoint("/route").observe(503, 0.0001)
 	m.ObserveStretch("tz", 1.3)
 	m.ObserveStretch("tz", 2.5)
 	first := scrape()
@@ -201,7 +201,7 @@ func TestMetricsTextRoundTripAndMonotonicity(t *testing.T) {
 		t.Fatalf("stretch family: %+v", f)
 	}
 
-	m.ObserveRequest("/route", 200, 0.003)
+	m.endpoint("/route").observe(200, 0.003)
 	m.ObserveStretch("tz", 1.0)
 	second := scrape()
 	for _, class := range []string{"2xx", "5xx"} {
@@ -220,8 +220,8 @@ func TestStatusClass(t *testing.T) {
 		200: "2xx", 204: "2xx", 302: "3xx", 409: "4xx", 422: "4xx",
 		502: "5xx", 503: "5xx", 199: "other", 601: "other",
 	} {
-		if got := StatusClass(status); got != want {
-			t.Errorf("StatusClass(%d) = %q, want %q", status, got, want)
+		if got := statusClasses[classIndex(status)]; got != want {
+			t.Errorf("class of %d = %q, want %q", status, got, want)
 		}
 	}
 }

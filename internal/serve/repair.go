@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compactroute"
@@ -67,29 +68,43 @@ type dampKey [2]uint64
 // Every route is held against the view as it stands when the route
 // is chosen, so a query admitted after Observe returns can never
 // cross an element that batch took down.
+//
+// While the view holds nothing down and best-of-both is off, a route
+// takes the pathless walk and serves its answer as it is: with one
+// leg and nothing down there is nothing to block, and damping only
+// orders legs, so the checked walk would serve the same answer.
 type Repairer struct {
 	route RoutePathFunc
+	walk  RouterFunc
 	opts  RepairOptions
 
 	mu     sync.RWMutex
 	faults *dynamic.FaultSet
 	damp   map[dampKey]time.Time // element -> last failure time
+	// quiet is faults.Quiescent(), stored under mu's write lock, so
+	// the read path checks the view with one atomic load.
+	quiet atomic.Bool
 }
 
-// NewRepairer wraps route with the repair layer.
-func NewRepairer(route RoutePathFunc, o RepairOptions) *Repairer {
+// NewRepairer wraps the repair layer around two walks of one scheme:
+// route returns the walked path, and walk is the same walk without
+// it, taken while the fault view is quiescent.
+func NewRepairer(route RoutePathFunc, walk RouterFunc, o RepairOptions) *Repairer {
 	if o.DampHalfLife <= 0 {
 		o.DampHalfLife = 30 * time.Second
 	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-	return &Repairer{
+	r := &Repairer{
 		route:  route,
+		walk:   walk,
 		opts:   o,
 		faults: dynamic.NewFaultSet(),
 		damp:   make(map[dampKey]time.Time),
 	}
+	r.quiet.Store(true)
+	return r
 }
 
 func pairKey(u, v uint64) [2]uint64 {
@@ -120,6 +135,7 @@ func (r *Repairer) Observe(ms ...dynamic.Mutation) {
 			delete(r.damp, dampKey(pairKey(m.U, m.V)))
 		}
 	}
+	r.quiet.Store(r.faults.Quiescent())
 }
 
 // stampLocked records a failure instant and opportunistically sweeps
@@ -168,6 +184,9 @@ type leg struct {
 // — an unknown destination is still the name-independent model's
 // honest non-delivery, not an outage.
 func (r *Repairer) RouteByName(ctx context.Context, srcName, dstName uint64) (compactroute.Result, error) {
+	if !r.opts.BestOfBoth && r.quiet.Load() {
+		return r.walk(ctx, srcName, dstName)
+	}
 	res, _, err := r.RoutePathByName(ctx, srcName, dstName)
 	return res, err
 }

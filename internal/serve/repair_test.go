@@ -16,6 +16,7 @@ import (
 type pathRouter struct {
 	mu    sync.Mutex
 	calls map[[2]uint64]int
+	walks int
 	paths map[[2]uint64]struct {
 		path []uint64
 		cost float64
@@ -50,6 +51,25 @@ func (p *pathRouter) route(ctx context.Context, src, dst uint64) (compactroute.R
 	return compactroute.Result{Delivered: true, Cost: e.cost, Hops: len(e.path) - 1}, e.path, nil
 }
 
+// walk is route without the path, the repairer's quiescent walk. It
+// counts its calls apart from route's.
+func (p *pathRouter) walk(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
+	p.mu.Lock()
+	p.walks++
+	p.mu.Unlock()
+	e, ok := p.paths[[2]uint64{src, dst}]
+	if !ok {
+		return compactroute.Result{}, nil
+	}
+	return compactroute.Result{Delivered: true, Cost: e.cost, Hops: len(e.path) - 1}, nil
+}
+
+func (p *pathRouter) walkCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.walks
+}
+
 func (p *pathRouter) callCount(src, dst uint64) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -59,10 +79,14 @@ func (p *pathRouter) callCount(src, dst uint64) int {
 func TestRepairerPassThroughWhenClear(t *testing.T) {
 	pr := newPathRouter()
 	pr.set(1, 2, 5, 1, 3, 2)
-	r := NewRepairer(pr.route, RepairOptions{})
+	r := NewRepairer(pr.route, pr.walk, RepairOptions{})
 	res, err := r.RouteByName(context.Background(), 1, 2)
 	if err != nil || !res.Delivered || res.Cost != 5 {
 		t.Fatalf("clear route: %+v, %v", res, err)
+	}
+	// Nothing down and one leg: the pathless walk answers.
+	if pr.walkCount() != 1 || pr.callCount(1, 2) != 0 {
+		t.Fatalf("quiescent view: %d pathless walks, %d path walks, want 1 and 0", pr.walkCount(), pr.callCount(1, 2))
 	}
 	// No BestOfBoth: the reverse direction must never be walked.
 	if pr.callCount(2, 1) != 0 {
@@ -78,15 +102,21 @@ func TestRepairerPassThroughWhenClear(t *testing.T) {
 func TestRepairerBlocksDownElements(t *testing.T) {
 	pr := newPathRouter()
 	pr.set(1, 2, 5, 1, 3, 2)
-	r := NewRepairer(pr.route, RepairOptions{})
+	r := NewRepairer(pr.route, pr.walk, RepairOptions{})
 
 	r.Observe(compactroute.MutFailEdge(3, 1)) // orientation must not matter
 	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("down edge on path: err = %v", err)
 	}
+	if pr.walkCount() != 0 {
+		t.Fatal("a route after Observe(fail) took the unchecked walk")
+	}
 	r.Observe(compactroute.MutRecoverEdge(1, 3))
 	if _, err := r.RouteByName(context.Background(), 1, 2); err != nil {
 		t.Fatalf("after recovery: %v", err)
+	}
+	if pr.walkCount() != 1 {
+		t.Fatalf("recovered view: %d pathless walks, want 1", pr.walkCount())
 	}
 
 	r.Observe(compactroute.MutFailNode(3)) // interior node down
@@ -117,7 +147,7 @@ func TestRepairerBestOfBothServesCheaperClearDirection(t *testing.T) {
 	pr := newPathRouter()
 	pr.set(1, 2, 10, 1, 3, 2) // forward via 3
 	pr.set(2, 1, 7, 2, 4, 1)  // reverse via 4, cheaper
-	r := NewRepairer(pr.route, RepairOptions{BestOfBoth: true})
+	r := NewRepairer(pr.route, pr.walk, RepairOptions{BestOfBoth: true})
 
 	res, path, err := r.RoutePathByName(context.Background(), 1, 2)
 	if err != nil || res.Cost != 7 {
@@ -144,7 +174,7 @@ func TestRepairerBestOfBothServesCheaperClearDirection(t *testing.T) {
 	pr2 := newPathRouter()
 	pr2.set(5, 6, 9, 5, 7, 6)
 	pr2.set(6, 5, 9, 6, 8, 5)
-	r2 := NewRepairer(pr2.route, RepairOptions{BestOfBoth: true})
+	r2 := NewRepairer(pr2.route, pr2.walk, RepairOptions{BestOfBoth: true})
 	for range 8 {
 		_, path, err := r2.RoutePathByName(context.Background(), 5, 6)
 		if err != nil || path[1] != 7 {
@@ -169,7 +199,7 @@ func TestRepairerFlapDampingDecays(t *testing.T) {
 	pr := newPathRouter()
 	pr.set(1, 2, 10, 1, 3, 2) // forward, cheaper
 	pr.set(2, 1, 12, 2, 4, 1) // reverse, dearer but never flapped
-	r := NewRepairer(pr.route, RepairOptions{
+	r := NewRepairer(pr.route, pr.walk, RepairOptions{
 		BestOfBoth:   true,
 		DampPenalty:  8,
 		DampHalfLife: 10 * time.Second,
@@ -204,11 +234,15 @@ func TestRepairerFlapDampingDecays(t *testing.T) {
 
 func TestRepairerErrorPassThrough(t *testing.T) {
 	boom := errors.New("boom")
-	r := NewRepairer(func(ctx context.Context, src, dst uint64) (compactroute.Result, []uint64, error) {
-		return compactroute.Result{}, nil, fmt.Errorf("route %d→%d: %w", src, dst, boom)
-	}, RepairOptions{BestOfBoth: true})
-	if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, boom) {
-		t.Fatalf("routing error rewritten: %v", err)
+	for _, o := range []RepairOptions{{BestOfBoth: true}, {}} {
+		r := NewRepairer(func(ctx context.Context, src, dst uint64) (compactroute.Result, []uint64, error) {
+			return compactroute.Result{}, nil, fmt.Errorf("route %d→%d: %w", src, dst, boom)
+		}, func(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
+			return compactroute.Result{}, fmt.Errorf("walk %d→%d: %w", src, dst, boom)
+		}, o)
+		if _, err := r.RouteByName(context.Background(), 1, 2); !errors.Is(err, boom) {
+			t.Fatalf("%+v: routing error rewritten: %v", o, err)
+		}
 	}
 }
 
@@ -216,7 +250,8 @@ func TestRepairerErrorPassThrough(t *testing.T) {
 // the repair layer's projected view: what stays down and damped
 // afterwards.
 func TestRepairerObserve(t *testing.T) {
-	r := NewRepairer(newPathRouter().route, RepairOptions{DampPenalty: 1})
+	pr := newPathRouter()
+	r := NewRepairer(pr.route, pr.walk, RepairOptions{DampPenalty: 1})
 	steps := []struct {
 		name string
 		ms   []compactroute.Mutation

@@ -17,6 +17,7 @@ import (
 	"compactroute"
 	"compactroute/client"
 	"compactroute/internal/graph"
+	"compactroute/internal/memhttp"
 )
 
 // buildDynamic boots the dynamic serving surface over a fresh
@@ -419,11 +420,14 @@ func TestStageAndSwap(t *testing.T) {
 	}
 }
 
-// TestPoolRouteAllocs pins a shard read's allocations below the
-// handler: on a dynamic paper server with no faults, the pool and the
-// repair layer add nothing to the path walk's own four
-// (TestRoutePathAllocs in the facade), and neither does pinning the
-// answer's version, which reads the serving version twice.
+// TestPoolRouteAllocs pins a shard read's allocations on a dynamic
+// paper server with no faults. Below the handler, the pool, the repair
+// layer and pinning the answer's version add nothing to the facade
+// walk's own two (the header and the search state): the repair layer
+// takes the pathless walk while nothing is down. Through
+// Server.Handler() into a reused writer, a read adds two: the
+// observability boundary's status recorder and the content-type
+// header value.
 func TestPoolRouteAllocs(t *testing.T) {
 	srv, err := New(Config{Scheme: compactroute.KindPaper, N: 256, K: 3, Seed: 5, Logf: discardLogf})
 	if err != nil {
@@ -432,28 +436,52 @@ func TestPoolRouteAllocs(t *testing.T) {
 	t.Cleanup(srv.Close)
 	g := srv.Scheme().Network().Graph()
 	ctx := context.Background()
+	pair := func(q int) (uint64, uint64) {
+		return g.Name(compactroute.NodeID(q % 256)), g.Name(compactroute.NodeID((q*131 + 17) % 256))
+	}
+	h := srv.Handler()
+	reqs := make([]*http.Request, 256)
+	for q := range reqs {
+		src, dst := pair(q)
+		reqs[q] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/route?src=%d&dst=%d", src, dst), nil)
+	}
+	var w memhttp.Writer
 	for _, read := range []struct {
 		name  string
-		route func(src, dst uint64) error
+		max   float64
+		route func(q int) error
 	}{
-		{"Pool.Route", func(src, dst uint64) error {
+		{"Pool.Route", 2, func(q int) error {
+			src, dst := pair(q)
 			_, err := srv.pool.Route(ctx, src, dst)
 			return err
 		}},
-		{"routeVersioned", func(src, dst uint64) error {
+		{"routeVersioned", 2, func(q int) error {
+			src, dst := pair(q)
 			_, _, err := srv.routeVersioned(ctx, src, dst)
 			return err
 		}},
+		{"Handler", 4, func(q int) error {
+			w.Reset()
+			h.ServeHTTP(&w, reqs[q%len(reqs)])
+			if w.Code != http.StatusOK {
+				return fmt.Errorf("status %d: %s", w.Code, w.Body)
+			}
+			return nil
+		}},
 	} {
+		if memhttp.RaceEnabled && read.name == "Handler" {
+			continue // the race detector drops WriteRoute's pooled buffers at random
+		}
 		q := 0
 		allocs := testing.AllocsPerRun(1000, func() {
 			q++
-			if err := read.route(g.Name(compactroute.NodeID(q%256)), g.Name(compactroute.NodeID((q*131+17)%256))); err != nil {
+			if err := read.route(q); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 4 {
-			t.Fatalf("%s: %.2f allocations per route, want at most 4", read.name, allocs)
+		if allocs > read.max {
+			t.Fatalf("%s: %.2f allocations per route, want at most %v", read.name, allocs, read.max)
 		}
 	}
 }

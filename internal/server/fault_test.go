@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"compactroute"
+	"compactroute/internal/obs"
 )
 
 // TestUnreachableStatusPinned pins the HTTP mapping for the fault
@@ -78,6 +79,76 @@ func TestFailedElementReturns502(t *testing.T) {
 	}
 	if got := routeStatus(); got != http.StatusOK {
 		t.Fatalf("route after recovery: %d", got)
+	}
+}
+
+// TestQuiescentWalkCannotHideAFault: a shard with nothing down reads
+// on the pathless walk, yet once Mutate returns a failure of an edge a
+// route crosses, that route is a 502, and after the recovery a 200
+// again. A best-of-both shard walks both directions even while
+// nothing is down: its traced read records the repair verdict only
+// the two-leg walk reaches.
+func TestQuiescentWalkCannotHideAFault(t *testing.T) {
+	srv, net := buildDynamic(t, "fulltable", 50, 0)
+	g := net.Graph()
+	h := srv.Handler()
+	src := g.Name(0)
+	var dst uint64
+	var path []uint64
+	for v := 1; v < g.N() && len(path) < 3; v++ {
+		dst = g.Name(compactroute.NodeID(v))
+		_, p, err := srv.dyn.RoutePathByNameCtx(context.Background(), srv.kind, src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path = p
+	}
+	if len(path) < 3 {
+		t.Fatal("no route of two hops from node 0")
+	}
+	route := func(h http.Handler, header string) int {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/route?src=%d&dst=%d", src, dst), nil)
+		if header != "" {
+			req.Header.Set(obs.Header, header)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w.Code
+	}
+	if got := route(h, ""); got != http.StatusOK {
+		t.Fatalf("quiescent route: %d", got)
+	}
+	// The second edge of the path: not at either endpoint.
+	if _, err := srv.Mutate(compactroute.MutFailEdge(path[2], path[1])); err != nil {
+		t.Fatal(err)
+	}
+	if got := route(h, ""); got != http.StatusBadGateway {
+		t.Fatalf("route over a failed edge: %d, want 502", got)
+	}
+	if _, err := srv.Mutate(compactroute.MutRecoverEdge(path[1], path[2])); err != nil {
+		t.Fatal(err)
+	}
+	if got := route(h, ""); got != http.StatusOK {
+		t.Fatalf("route after recovery: %d", got)
+	}
+
+	bob, err := New(Config{Scheme: "fulltable", N: 50, K: 2, Seed: 11, SFactor: 0.5, BestOfBoth: true, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bob.Close)
+	if got := route(bob.Handler(), "both-ways"); got != http.StatusOK {
+		t.Fatalf("best-of-both route: %d", got)
+	}
+	view, ok := bob.tracer.Get("both-ways")
+	if !ok {
+		t.Fatal("forced trace not stored")
+	}
+	if !slices.ContainsFunc(view.Spans, func(s obs.Span) bool {
+		return s.Layer == "repair" && s.Name == "verdict" && (s.Detail == "forward-won" || s.Detail == "reverse-won")
+	}) {
+		t.Fatalf("best-of-both read walked one direction: %+v", view.Spans)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"compactroute"
 	"compactroute/client"
@@ -166,7 +168,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	WriteJSON(w, resp)
+	WriteRoute(w, resp)
 }
 
 // servedKind names the scheme kind answering routes, for the stretch
@@ -321,15 +323,40 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ParsePair parses the src and dst query parameters of a route
 // request, naming the bad one in the error (a 400 at both tiers).
+// Like url.Values.Get, it takes the first value of each.
 func ParsePair(r *http.Request) (src, dst uint64, err error) {
-	q := r.URL.Query()
-	if src, err = ParseName(q.Get("src")); err != nil {
+	s, d := queryPair(r.URL.RawQuery)
+	if src, err = ParseName(s); err != nil {
 		return 0, 0, fmt.Errorf("bad src: %v", err)
 	}
-	if dst, err = ParseName(q.Get("dst")); err != nil {
+	if dst, err = ParseName(d); err != nil {
 		return 0, 0, fmt.Errorf("bad dst: %v", err)
 	}
 	return src, dst, nil
+}
+
+// queryPair returns the first src and dst values of a raw query, as
+// url.ParseQuery decodes them. Without an escape ('%' or '+') or a
+// ';' (which ParseQuery rejects pair by pair) the query decodes to
+// itself, so it is scanned in place; otherwise ParseQuery decodes it.
+func queryPair(raw string) (src, dst string) {
+	if strings.ContainsAny(raw, "%+;") {
+		q, _ := url.ParseQuery(raw)
+		return q.Get("src"), q.Get("dst")
+	}
+	var haveSrc, haveDst bool
+	for raw != "" && !(haveSrc && haveDst) {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		key, value, _ := strings.Cut(pair, "=")
+		switch {
+		case key == "src" && !haveSrc:
+			src, haveSrc = value, true
+		case key == "dst" && !haveDst:
+			dst, haveDst = value, true
+		}
+	}
+	return src, dst
 }
 
 // DecodeMutations reads a /v1/mutate body — one mutation object or a
@@ -376,6 +403,28 @@ func ParseName(s string) (uint64, error) {
 func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
+		log.Printf("server: writing response: %v", err)
+	}
+}
+
+// routeBufs pools the buffers WriteRoute encodes answers into.
+var routeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// WriteRoute writes a route answer as a 200 application/json response,
+// in the bytes WriteJSON would write, encoded by client.Route's own
+// codec into a pooled buffer. An answer with a non-finite number has
+// no JSON form; it is a 500 with a JSON error body.
+func WriteRoute(w http.ResponseWriter, res client.Route) {
+	bp := routeBufs.Get().(*[]byte)
+	defer routeBufs.Put(bp)
+	b, err := res.AppendJSON((*bp)[:0])
+	if err != nil {
+		HTTPError(w, http.StatusInternalServerError, "encoding route: %v", err)
+		return
+	}
+	*bp = b
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(b); err != nil {
 		log.Printf("server: writing response: %v", err)
 	}
 }

@@ -252,6 +252,7 @@ func (s *Server) initDynamic(cfg Config) error {
 	// against the transient fault overlay (a dead link is dead the
 	// moment its failure event is accepted, not at the next rebuild),
 	// with best-of-both-directions and flap damping as configured.
+	// Both walks record the same scheme span.
 	s.repair = serve.NewRepairer(func(ctx context.Context, src, dst uint64) (compactroute.Result, []uint64, error) {
 		walk := time.Now()
 		res, path, err := dyn.RoutePathByNameCtx(ctx, s.kind, src, dst)
@@ -259,6 +260,13 @@ func (s *Server) initDynamic(cfg Config) error {
 			obs.SpanN(ctx, "scheme", "walk", s.kind, walk, int64(res.Hops))
 		}
 		return res, path, err
+	}, func(ctx context.Context, src, dst uint64) (compactroute.Result, error) {
+		walk := time.Now()
+		res, err := dyn.RouteByNameCtx(ctx, s.kind, src, dst)
+		if err == nil {
+			obs.SpanN(ctx, "scheme", "walk", s.kind, walk, int64(res.Hops))
+		}
+		return res, err
 	}, serve.RepairOptions{
 		BestOfBoth:   cfg.BestOfBoth,
 		DampPenalty:  cfg.DampPenalty,

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -197,6 +199,50 @@ func TestParseNameBases(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("ParseName(%q) = %d, want error", tc.in, got)
 		}
+	}
+}
+
+// TestQueryPairMatchesParseQuery: the in-place scan of a route query
+// finds the values url.ParseQuery decodes and url.Values.Get returns —
+// the first of each key — for queries with and without escapes.
+func TestQueryPairMatchesParseQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "src=1&dst=2", "dst=2&src=1", "src=1&src=3&dst=2&dst=4",
+		"src&dst=2", "src=&dst=2", "=1&src=5&dst=6", "&&src=1&&dst=2&",
+		"src=0x1F&dst=2", "SRC=1&dst=2", "src=1=2&dst=3", "x=1&y=2",
+		"src=%31&dst=2", "src=1+&dst=2", "src=%zz&src=7&dst=2",
+		"src=1;dst=2", "src=1&dst=2;x=3", "src=1&x;y=2&dst=3", "s%72c=4&dst=5",
+	} {
+		q, _ := url.ParseQuery(raw)
+		src, dst := queryPair(raw)
+		if src != q.Get("src") || dst != q.Get("dst") {
+			t.Errorf("queryPair(%q) = %q, %q; url.ParseQuery gives %q, %q", raw, src, dst, q.Get("src"), q.Get("dst"))
+		}
+	}
+}
+
+// TestWriteRoute: a route answer goes out as the bytes WriteJSON
+// would write; one with a non-finite number, which has no JSON form,
+// is a 500 with a JSON error body rather than an empty 200.
+func TestWriteRoute(t *testing.T) {
+	v := uint64(3)
+	ok := client.Route{Delivered: true, Cost: 7.5, Hops: 2, HeaderBits: 40, ShortestCost: 5, Stretch: 1.5, Version: &v}
+	got, want := httptest.NewRecorder(), httptest.NewRecorder()
+	WriteRoute(got, ok)
+	WriteJSON(want, ok)
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() ||
+		got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+		t.Fatalf("WriteRoute: %d %q (%s), WriteJSON: %d %q (%s)", got.Code, got.Body, got.Header().Get("Content-Type"),
+			want.Code, want.Body, want.Header().Get("Content-Type"))
+	}
+
+	bad := httptest.NewRecorder()
+	WriteRoute(bad, client.Route{Delivered: true, Cost: 1, ShortestCost: 1, Stretch: math.Inf(1)})
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(bad.Body.Bytes(), &body); bad.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+		t.Fatalf("non-finite route: %d %q", bad.Code, bad.Body)
 	}
 }
 
