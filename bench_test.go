@@ -61,6 +61,31 @@ func BenchmarkAPSP256(b *testing.B) {
 	}
 }
 
+// BenchmarkAPSPParallel1024 is the all-pairs sweep of perfbench's walk
+// topology (gnp, n=1024, p=8/n, weights uniform in [1,8), seed 1): the
+// first half of every set-up and rebuild there.
+func BenchmarkAPSPParallel1024(b *testing.B) {
+	g := gen.Gnp(1, 1024, 8.0/1024, gen.Uniform(1, 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sssp.AllPairsParallel(g, 0)
+	}
+}
+
+// BenchmarkPaperBuild1024 is the second half: the paper scheme built on
+// that network with its metric already computed, at routed's defaults
+// (k=3, SFactor 0.25, seed 1).
+func BenchmarkPaperBuild1024(b *testing.B) {
+	net := compactroute.RandomNetwork(1, 1024, 8.0/1024, compactroute.UniformWeights(1, 8))
+	cfg := compactroute.Config{Kind: compactroute.KindPaper, K: 3, Seed: 1, SFactor: 0.25}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := compactroute.BuildStream(b.Context(), net, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSchemeBuildK3N256(b *testing.B) {
 	net := compactroute.RandomNetwork(3, 256, 8.0/256, compactroute.UniformWeights(1, 8))
 	b.ResetTimer()

@@ -47,9 +47,11 @@ func NewAPCover(g *graph.Graph, all []*sssp.Result, p APCoverParams) (*APCover, 
 }
 
 // NewAPCoverStream is NewAPCover fed by a per-source result stream.
-// The shortest-path sweep only contributes one scalar here — the
-// maximum eccentricity, fixing the number of radius scales — so the
-// builder folds the stream in O(1) state and discards every row.
+// The shortest-path sweep contributes one scalar here — the maximum
+// eccentricity, fixing the number of radius scales — so the builder
+// folds the stream in O(1) state and retains no row. A materialized
+// source's rows are already paid for, so every scale's cover reads its
+// balls off them; a streamed source's covers search for theirs.
 func NewAPCoverStream(ctx context.Context, g *graph.Graph, src sssp.Source, p APCoverParams) (*APCover, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("baseline: apcover k must be ≥ 1")
@@ -77,12 +79,13 @@ func NewAPCoverStream(ctx context.Context, g *graph.Graph, src sssp.Source, p AP
 		scaleCount = 1
 	}
 	a := &APCover{g: g, k: p.K, minW: minW, acct: bitsize.NewAccountant(g.N())}
+	metric := sssp.Rows(src)
 	for i := 0; i < scaleCount; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("baseline: apcover build: %w", err)
 		}
 		rho := minW * math.Ldexp(1, i)
-		cov, err := cover.Build(g, cover.Params{K: p.K, Rho: rho})
+		cov, err := cover.Build(g, cover.Params{K: p.K, Rho: rho, Metric: metric})
 		if err != nil {
 			return nil, fmt.Errorf("baseline: apcover scale %d: %w", i, err)
 		}

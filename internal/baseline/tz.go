@@ -167,7 +167,7 @@ func NewTZStream(ctx context.Context, g *graph.Graph, src sssp.Source, p TZParam
 		if len(members) == 1 && members[0] == graph.NodeID(w) && !isTop {
 			return nil // singleton cluster: no structure needed
 		}
-		t, err := tree.FromPaths(g, graph.NodeID(w), r.Parent, members)
+		t, err := tree.FromPaths(g, r, members)
 		if err != nil {
 			return fmt.Errorf("baseline: tz cluster of %d: %w", w, err)
 		}

@@ -20,7 +20,7 @@ package bitsize
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -35,7 +35,7 @@ func Log2Ceil(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(math.Ceil(math.Log2(float64(n))))
+	return bits.Len(uint(n - 1))
 }
 
 // IDBits returns the number of bits needed to store one of n distinct
@@ -80,6 +80,22 @@ func (a *Accountant) Add(u int, category string, b Bits) {
 	}
 	a.perNode[u] += b
 	a.category[category] += b
+}
+
+// AddEach is Add for a pass that charges one category many times: for
+// every i below count it charges charge(i)'s bits to charge(i)'s node,
+// and it updates the category total once.
+func (a *Accountant) AddEach(category string, count int, charge func(i int) (u int, b Bits)) {
+	var total Bits
+	for i := 0; i < count; i++ {
+		u, b := charge(i)
+		if b < 0 {
+			panic("bitsize: negative charge")
+		}
+		a.perNode[u] += b
+		total += b
+	}
+	a.category[category] += total
 }
 
 // NodeBits returns the total charged to node u.

@@ -1,6 +1,7 @@
 package bitsize
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,30 @@ func TestLog2CeilProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLog2CeilMatchesFloatForm holds the integer Log2Ceil to the
+// math.Log2 form it replaced, which is exact below 2^49: every n up to
+// 2^20, and each power of two and its neighbours up to 2^31.
+func TestLog2CeilMatchesFloatForm(t *testing.T) {
+	float := func(n int) int {
+		if n <= 1 {
+			return 0
+		}
+		return int(math.Ceil(math.Log2(float64(n))))
+	}
+	ns := make([]int, 0, 1<<20+3*32)
+	for n := -1; n <= 1<<20; n++ {
+		ns = append(ns, n)
+	}
+	for j := 0; j <= 31; j++ {
+		ns = append(ns, 1<<j-1, 1<<j, 1<<j+1)
+	}
+	for _, n := range ns {
+		if got, want := Log2Ceil(n), float(n); got != want {
+			t.Fatalf("Log2Ceil(%d) = %d, float form %d", n, got, want)
+		}
 	}
 }
 
@@ -64,6 +89,34 @@ func TestAccountantTotals(t *testing.T) {
 	if a.CategoryBits("labels") != 150 || a.CategoryBits("trie") != 25 {
 		t.Fatal("category totals wrong")
 	}
+}
+
+// TestAddEachMatchesAdd charges the same members through AddEach and
+// through one Add each: node and category totals must agree.
+func TestAddEachMatchesAdd(t *testing.T) {
+	nodes := []int{2, 0, 2, 1, 3}
+	bits := []Bits{7, 0, 11, 64, 3}
+	each, one := NewAccountant(4), NewAccountant(4)
+	each.Add(1, "trie", 5)
+	one.Add(1, "trie", 5)
+	each.AddEach("trie", len(nodes), func(i int) (int, Bits) { return nodes[i], bits[i] })
+	for i, u := range nodes {
+		one.Add(u, "trie", bits[i])
+	}
+	for u := 0; u < 4; u++ {
+		if each.NodeBits(u) != one.NodeBits(u) {
+			t.Fatalf("node %d: AddEach %d, Add %d", u, each.NodeBits(u), one.NodeBits(u))
+		}
+	}
+	if each.CategoryBits("trie") != one.CategoryBits("trie") {
+		t.Fatalf("category: AddEach %d, Add %d", each.CategoryBits("trie"), one.CategoryBits("trie"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative charge did not panic")
+		}
+	}()
+	each.AddEach("trie", 1, func(int) (int, Bits) { return 0, -1 })
 }
 
 func TestAccountantCategoriesSorted(t *testing.T) {

@@ -351,7 +351,7 @@ func (s *Scheme) buildSparseSide(all []*sssp.Result, p Params) error {
 				force(v)
 			}
 		}
-		t, err := tree.FromPaths(s.g, c, all[c].Parent, targets)
+		t, err := tree.FromPaths(s.g, all[c], targets)
 		if err != nil {
 			errs[ci] = fmt.Errorf("core: tree of center %d: %w", c, err)
 			return

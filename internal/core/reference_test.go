@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestSparseSideMatchesMapReference(t *testing.T) {
 				for v := range m {
 					targets = append(targets, v)
 				}
-				want, err := tree.FromPaths(s.g, c, all[c].Parent, targets)
+				want, err := tree.FromPaths(s.g, all[c], targets)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,5 +176,68 @@ func TestFromSnapshotRejectsCorruptTree(t *testing.T) {
 	snap.Covers[0].Cover = &cs
 	if _, err := FromSnapshot(snap); err == nil {
 		t.Fatal("corrupt cover tree accepted")
+	}
+}
+
+// TestLandmarkTreesByDepthMatchSort holds every landmark tree of built
+// schemes to the sort its by-depth order replaced: each member's depth
+// equals its center's row distance bit for bit, the by-depth order
+// FromPaths read off the row equals the (depth, name) sort, and a
+// FromSnapshot round trip, which sorts, gives the same order. Unit and
+// power-of-two weights make many depths tie.
+func TestLandmarkTreesByDepthMatchSort(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		p    Params
+	}{
+		{"gnp-k2", gen.Gnp(61, 140, 0.04, gen.Uniform(1, 5)), Params{K: 2, Seed: 1, SFactor: 0.5}},
+		{"gnp-k3", gen.Gnp(62, 160, 0.035, gen.Uniform(1, 8)), Params{K: 3, Seed: 2, SFactor: 1}},
+		{"gnp-k4", gen.Gnp(63, 160, 0.035, gen.Uniform(1, 8)), Params{K: 4, Seed: 3, SFactor: 1}},
+		{"geometric-k3", gen.Geometric(64, 140, 0.17), Params{K: 3, Seed: 4, SFactor: 1}},
+		{"unit-k3", gen.Gnp(65, 140, 0.04, gen.Unit()), Params{K: 3, Seed: 5, SFactor: 1}},
+		{"pow2-k3", gen.Gnp(66, 140, 0.04, gen.PowerOfTwo(4)), Params{K: 3, Seed: 6, SFactor: 0.5}},
+	}
+	for _, c := range cases {
+		all := sssp.AllPairs(c.g)
+		s, err := BuildWithAPSP(c.g, all, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for center, lt := range s.trees {
+			tr, row := lt.t, all[center]
+			want := make([]int32, tr.Len())
+			for i := range want {
+				want[i] = int32(i)
+				if d, v := tr.Depth(i), tr.Node(i); d != row.Dist[v] {
+					t.Fatalf("%s: center %d member %d depth %v, row distance %v", c.name, center, v, d, row.Dist[v])
+				}
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				if d := cmp.Compare(tr.Depth(int(a)), tr.Depth(int(b))); d != 0 {
+					return d
+				}
+				return cmp.Compare(c.g.Name(tr.Node(int(a))), c.g.Name(tr.Node(int(b))))
+			})
+			for i := 1; i < len(want); i++ {
+				if tr.Depth(int(want[i])) == tr.Depth(int(want[i-1])) {
+					ties++
+				}
+			}
+			if !slices.Equal(tr.ByDepth(), want) {
+				t.Fatalf("%s: center %d by-depth order %v, sorted %v", c.name, center, tr.ByDepth(), want)
+			}
+			back, err := tree.FromSnapshot(c.g, tr.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(back.ByDepth(), want) {
+				t.Fatalf("%s: center %d by-depth order after FromSnapshot %v, want %v", c.name, center, back.ByDepth(), want)
+			}
+		}
+		if c.name == "unit-k3" && ties == 0 {
+			t.Fatal("unit weights gave no depth ties: the name order is untested")
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (s *Scheme) account() {
 	}
 	// τ(T(c), x) for every member x of every landmark tree. The trees
 	// price their members independently, so they fan out; the charges
-	// are then added in center order.
+	// are then added in center order, one category update per tree.
 	centers := make([]graph.NodeID, 0, len(s.trees))
 	for c := range s.trees {
 		centers = append(centers, c)
@@ -60,19 +60,18 @@ func (s *Scheme) account() {
 		treeBits[ci] = bits
 	})
 	for ci, c := range centers {
-		t := s.trees[c].t
-		for i, b := range treeBits[ci] {
-			s.acct.Add(int(t.Node(i)), "landmark-trees", b)
-		}
+		t, bits := s.trees[c].t, treeBits[ci]
+		s.acct.AddEach("landmark-trees", len(bits), func(i int) (int, bitsize.Bits) {
+			return int(t.Node(i)), bits[i]
+		})
 	}
 	// φ(T, x) for every member of every cover tree.
 	for _, cas := range s.covers {
 		for ti, t := range cas.cov.Trees {
 			rt := cas.routes[ti]
-			for i := 0; i < t.Len(); i++ {
-				x := int(t.Node(i))
-				s.acct.Add(x, "cover-trees", rt.StorageBits(i))
-			}
+			s.acct.AddEach("cover-trees", t.Len(), func(i int) (int, bitsize.Bits) {
+				return int(t.Node(i)), rt.StorageBits(i)
+			})
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestLookupOnPrunedTree(t *testing.T) {
 	g := gen.Gnp(3, 60, 0.07, gen.Uniform(1, 5))
 	r := sssp.From(g, 0)
 	targets := []graph.NodeID{3, 9, 27, 42}
-	tr, err := tree.FromPaths(g, 0, r.Parent, targets)
+	tr, err := tree.FromPaths(g, r, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStorageBitsSane(t *testing.T) {
 func TestNewRouteRejectsNonMember(t *testing.T) {
 	g := gen.Star(7, 10, gen.Unit())
 	r := sssp.From(g, 1)
-	tr, _ := tree.FromPaths(g, 1, r.Parent, []graph.NodeID{2})
+	tr, _ := tree.FromPaths(g, r, []graph.NodeID{2})
 	s := New(tr, 5)
 	if _, err := s.NewRoute(12345, 7); err == nil {
 		t.Fatal("non-member source accepted")

@@ -168,6 +168,15 @@ func (g *Graph) Neighbors(u NodeID, fn func(e Edge) bool) {
 	}
 }
 
+// Adjacency returns u's incident edges in port order as parallel
+// slices: port p leads to to[p] over an edge of weight w[p], and rev[p]
+// is ReversePort(u, p). It is Neighbors for loops that read every edge
+// of many nodes; the slices alias the graph and must not be mutated.
+func (g *Graph) Adjacency(u NodeID) (to []NodeID, w []float64, rev []int32) {
+	lo, hi := g.offsets[u], g.offsets[u+1]
+	return g.targets[lo:hi:hi], g.weights[lo:hi:hi], g.revPort[lo:hi:hi]
+}
+
 // ForEachEdge calls fn once per undirected edge in canonical order —
 // ascending u, then port order, each edge visited from its
 // lower-numbered endpoint — stopping early if fn returns false. The

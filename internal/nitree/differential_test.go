@@ -53,7 +53,7 @@ func diffCases(t *testing.T) []diffCase {
 					targets = append(targets, graph.NodeID(v))
 				}
 			}
-			tr, err = tree.FromPaths(g, root, r.Parent, targets)
+			tr, err = tree.FromPaths(g, r, targets)
 		} else {
 			tr, err = tree.FromSPT(g, root, r.Parent)
 		}

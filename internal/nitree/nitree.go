@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"compactroute/internal/bitsize"
 	"compactroute/internal/graph"
@@ -246,29 +247,53 @@ func digit(seed uint64, sigma int, name uint64, d int) uint16 {
 	return uint16(xrand.Hash64(seed+uint64(d)*0x9e37, name) % uint64(sigma))
 }
 
+// prefixScratch is maxPrefixLoad's working memory, pooled for the
+// reason the tree constructor pools its own: arrays of a tree's size,
+// freed among the arrays the scheme keeps, would scatter those over
+// more memory pages, which the walk pays for.
+type prefixScratch struct {
+	prefix []uint64 // by-depth position -> packed hash prefix
+	counts []int32  // packed prefix -> members sharing it
+}
+
+var prefixPool = sync.Pool{New: func() any { return new(prefixScratch) }}
+
 // maxPrefixLoad computes, under the given seed, the largest number of
 // members of V_j sharing a (j-1)-digit hash prefix, over all j. Each
 // member's prefix is one packed base-σ integer, extended by a digit
-// per level (σ^{k−1} fits 64 bits for any n below 2^40).
+// per level, and counted in a dense array indexed by it.
+//
+// Levels past the first j with V_j = V are not counted: from there on
+// the member set stays the same and the prefixes only refine, so no
+// later level's load is larger. Every counted level j ≥ 2 thus has
+// |V_{j−1}| < m, so level j−1 is full and the σ^{j−1} possible prefixes
+// number at most |V_{j−1}| < m, however large k is.
 func (s *Scheme) maxPrefixLoad(seed uint64, exts []uint64) int {
-	prefix := make([]uint64, len(exts))
-	counts := make(map[uint64]int)
-	max := 0
+	m := len(exts)
+	sc := prefixPool.Get().(*prefixScratch)
+	defer prefixPool.Put(sc)
+	sc.prefix = slices.Grow(sc.prefix[:0], m)[:m]
+	sc.counts = slices.Grow(sc.counts[:0], m)[:m]
+	prefix := sc.prefix
+	clear(prefix)
+	load := 0
+	span := 1 // σ^{j−1}: the number of (j−1)-digit prefixes
 	for j := 1; j <= s.k; j++ {
+		counts := sc.counts[:span]
 		clear(counts)
 		for _, key := range prefix[:s.levelLen[j]] {
 			counts[key]++
-			if counts[key] > max {
-				max = counts[key]
-			}
+			load = max(load, int(counts[key]))
 		}
-		if j < s.k {
-			for pos, ext := range exts {
-				prefix[pos] = prefix[pos]*uint64(s.sigma) + uint64(digit(seed, s.sigma, ext, j-1))
-			}
+		if j == s.k || s.levelLen[j] == m {
+			break
 		}
+		for pos, ext := range exts {
+			prefix[pos] = prefix[pos]*uint64(s.sigma) + uint64(digit(seed, s.sigma, ext, j-1))
+		}
+		span *= s.sigma
 	}
-	return max
+	return load
 }
 
 // buildStorage fills item 3: members walk closest-to-root first, each

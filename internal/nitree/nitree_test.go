@@ -8,6 +8,7 @@ import (
 	"compactroute/internal/graph"
 	"compactroute/internal/sssp"
 	"compactroute/internal/tree"
+	"compactroute/internal/xrand"
 )
 
 func buildSPT(t *testing.T, g *graph.Graph, root graph.NodeID) *tree.Tree {
@@ -239,7 +240,7 @@ func TestPrunedTreeMembersOnly(t *testing.T) {
 	g := gen.Gnp(9, 60, 0.08, gen.Uniform(1, 3))
 	r := sssp.From(g, 0)
 	targets := []graph.NodeID{5, 10, 15, 20, 25, 30}
-	tr, err := tree.FromPaths(g, 0, r.Parent, targets)
+	tr, err := tree.FromPaths(g, r, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,5 +342,48 @@ func TestParamsNormalization(t *testing.T) {
 	}
 	if _, err := New(tr, Params{K: 100}); err == nil {
 		t.Fatal("k=100 accepted")
+	}
+}
+
+// TestMaxPrefixLoadMatchesMapCount holds the dense prefix count to a
+// map count on random trees under many seeds, from k = 1 up to the
+// largest k New accepts. With σ = 2 and k ≫ log₂ m, the σ^{k−1}
+// prefixes of the deepest levels far outnumber the members, which a
+// dense array sized by them could not hold.
+func TestMaxPrefixLoadMatchesMapCount(t *testing.T) {
+	rng := xrand.New(0x10ad)
+	sawHuge := false
+	for c := 0; c < 24; c++ {
+		n := 1 + rng.Intn(120)
+		var g *graph.Graph
+		switch c % 3 {
+		case 0:
+			g = gen.Path(rng.Uint64(), n, gen.Unit())
+		case 1:
+			g = gen.Geometric(rng.Uint64(), n, 0.3)
+		default:
+			g = gen.Gnp(rng.Uint64(), n, 0.08, gen.Uniform(1, 5))
+		}
+		tr := buildSPT(t, g, graph.NodeID(rng.Intn(n)))
+		for _, k := range []int{1, 2, 3, 5, 8, 20, 60} {
+			s := mustNew(t, tr, Params{K: k, UniverseN: g.N(), Seed: rng.Uint64()})
+			exts := make([]uint64, tr.Len())
+			for pos, i := range tr.ByDepth() {
+				exts[pos] = g.Name(tr.Node(int(i)))
+			}
+			if math.Pow(float64(s.sigma), float64(k-1)) > 1e6*float64(tr.Len()) {
+				sawHuge = true
+			}
+			for try := 0; try < 6; try++ {
+				seed := rng.Uint64()
+				if got, want := s.maxPrefixLoad(seed, exts), refMaxPrefixLoad(s, seed, exts); got != want {
+					t.Fatalf("case %d (m=%d, k=%d, σ=%d) seed %#x: load %d, map count %d",
+						c, tr.Len(), k, s.sigma, seed, got, want)
+				}
+			}
+		}
+	}
+	if !sawHuge {
+		t.Fatal("no case had σ^{k−1} far above the tree size")
 	}
 }

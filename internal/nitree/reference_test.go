@@ -285,3 +285,22 @@ func (s *refScheme) runSearch(ext uint64, bound int) (bool, []graph.NodeID, erro
 	}
 	return false, path, fmt.Errorf("nitree: reference search not terminating")
 }
+
+// refMaxPrefixLoad is maxPrefixLoad as a map count over digit strings:
+// every level j = 1..k, every member of V_j keyed by its (j−1)-digit
+// hash prefix, with no packing, no dense array and no level skipped.
+func refMaxPrefixLoad(s *Scheme, seed uint64, exts []uint64) int {
+	load := 0
+	for j := 1; j <= s.k; j++ {
+		counts := make(map[string]int)
+		for _, ext := range exts[:s.levelLen[j]] {
+			key := make([]uint16, j-1)
+			for d := range key {
+				key[d] = digit(seed, s.sigma, ext, d)
+			}
+			counts[digitKey(key)]++
+			load = max(load, counts[digitKey(key)])
+		}
+	}
+	return load
+}

@@ -399,9 +399,16 @@ func ParseName(s string) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
+// jsonContentType is every JSON response's Content-Type value, stored
+// in the header map as is instead of through Header().Set, which
+// allocates a new one-element slice per response. net/http only reads
+// it, and an Add to the key copies it first, since its len equals its
+// cap.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON writes v as a 200 application/json response.
 func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("server: writing response: %v", err)
 	}
@@ -423,7 +430,7 @@ func WriteRoute(w http.ResponseWriter, res client.Route) {
 		return
 	}
 	*bp = b
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if _, err := w.Write(b); err != nil {
 		log.Printf("server: writing response: %v", err)
 	}
@@ -433,7 +440,7 @@ func WriteRoute(w http.ResponseWriter, res client.Route) {
 // be set before WriteHeader commits the response, or the content type
 // would be sniffed as text/plain.
 func WriteJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("server: writing response: %v", err)
@@ -442,7 +449,7 @@ func WriteJSONStatus(w http.ResponseWriter, code int, v any) {
 
 // HTTPError writes a JSON error body {"error": ...} with the status.
 func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }

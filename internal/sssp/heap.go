@@ -1,21 +1,38 @@
 package sssp
 
-import "compactroute/internal/graph"
+import (
+	"sync"
 
-// indexedHeap is a binary min-heap over node ids keyed by tentative
-// distance, with decrease-key support. It is the standard Dijkstra
-// workhorse; positions are tracked so DecreaseKey is O(log n).
+	"compactroute/internal/graph"
+)
+
+// heapEntry is one queued node with its tentative distance, held
+// inline so a comparison reads no other array.
+type heapEntry struct {
+	key float64
+	id  graph.NodeID
+}
+
+// less orders entries by (key, id): a strict total order, since ids
+// are unique, so the minimum is always one entry.
+func (a heapEntry) less(b heapEntry) bool {
+	return a.key < b.key || (a.key == b.key && a.id < b.id)
+}
+
+// indexedHeap is a 4-ary min-heap of (key, id) entries with
+// decrease-key support, the Dijkstra workhorse. pos tracks each
+// queued id's slot so DecreaseKey is O(log n). Four children per slot
+// halve the depth of a binary heap, and a child's comparison reads its
+// own entry, so a sift costs fewer, more local memory reads.
 type indexedHeap struct {
-	keys []float64      // key per node id
-	heap []graph.NodeID // heap array of node ids
-	pos  []int32        // node id -> index in heap, -1 if absent
+	items []heapEntry
+	pos   []int32 // node id -> index in items, -1 if absent
 }
 
 func newIndexedHeap(n int) *indexedHeap {
 	h := &indexedHeap{
-		keys: make([]float64, n),
-		heap: make([]graph.NodeID, 0, n),
-		pos:  make([]int32, n),
+		items: make([]heapEntry, 0, n),
+		pos:   make([]int32, n),
 	}
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -23,83 +40,90 @@ func newIndexedHeap(n int) *indexedHeap {
 	return h
 }
 
+// heapPool holds the heaps of finished searches. A search pops every
+// id it pushes, so a returned heap is empty and its pos is all -1.
+var heapPool = sync.Pool{New: func() any { return new(indexedHeap) }}
+
+// getHeap returns an empty pooled heap covering node ids below n.
+func getHeap(n int) *indexedHeap {
+	h := heapPool.Get().(*indexedHeap)
+	if len(h.pos) < n {
+		*h = *newIndexedHeap(n)
+	}
+	return h
+}
+
 // Len returns the number of queued nodes.
-func (h *indexedHeap) Len() int { return len(h.heap) }
+func (h *indexedHeap) Len() int { return len(h.items) }
 
 // Contains reports whether u is currently queued.
 func (h *indexedHeap) Contains(u graph.NodeID) bool { return h.pos[u] >= 0 }
 
 // Push inserts u with the given key. u must not already be present.
 func (h *indexedHeap) Push(u graph.NodeID, key float64) {
-	h.keys[u] = key
-	h.pos[u] = int32(len(h.heap))
-	h.heap = append(h.heap, u)
-	h.up(len(h.heap) - 1)
+	h.items = append(h.items, heapEntry{})
+	h.up(len(h.items)-1, heapEntry{key, u})
 }
 
 // DecreaseKey lowers u's key. It is a no-op if the new key is not lower.
 func (h *indexedHeap) DecreaseKey(u graph.NodeID, key float64) {
-	if key >= h.keys[u] {
+	i := h.pos[u]
+	if key >= h.items[i].key {
 		return
 	}
-	h.keys[u] = key
-	h.up(int(h.pos[u]))
+	h.up(int(i), heapEntry{key, u})
 }
 
 // PopMin removes and returns the id with the smallest key.
 func (h *indexedHeap) PopMin() (graph.NodeID, float64) {
-	u := h.heap[0]
-	key := h.keys[u]
-	last := len(h.heap) - 1
-	h.swap(0, last)
-	h.heap = h.heap[:last]
-	h.pos[u] = -1
+	top := h.items[0]
+	last := len(h.items) - 1
+	tail := h.items[last]
+	h.items = h.items[:last]
+	h.pos[top.id] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, tail)
 	}
-	return u, key
+	return top.id, top.key
 }
 
-func (h *indexedHeap) less(i, j int) bool {
-	a, b := h.heap[i], h.heap[j]
-	if h.keys[a] != h.keys[b] {
-		return h.keys[a] < h.keys[b]
-	}
-	return a < b // deterministic tie-break
-}
-
-func (h *indexedHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
-}
-
-func (h *indexedHeap) up(i int) {
+// up places e at slot i or above, moving larger parents down.
+func (h *indexedHeap) up(i int, e heapEntry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		p := (i - 1) / 4
+		pe := h.items[p]
+		if !e.less(pe) {
+			break
 		}
-		h.swap(i, parent)
-		i = parent
+		h.items[i] = pe
+		h.pos[pe.id] = int32(i)
+		i = p
 	}
+	h.items[i] = e
+	h.pos[e.id] = int32(i)
 }
 
-func (h *indexedHeap) down(i int) {
-	n := len(h.heap)
+// down places e at slot i or below, moving smaller children up.
+func (h *indexedHeap) down(i int, e heapEntry) {
+	n := len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		best, be := c, h.items[c]
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h.items[j].less(be) {
+				best, be = j, h.items[j]
+			}
 		}
-		if smallest == i {
-			return
+		if !be.less(e) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h.items[i] = be
+		h.pos[be.id] = int32(i)
+		i = best
 	}
+	h.items[i] = e
+	h.pos[e.id] = int32(i)
 }

@@ -216,8 +216,8 @@ func Materialize(ctx context.Context, src Source) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sssp: source stream: %w", err)
 	}
-	if m, ok := src.(interface{ Results() []*Result }); ok {
-		return m.Results(), nil
+	if all := Rows(src); all != nil {
+		return all, nil
 	}
 	out := make([]*Result, 0, src.N())
 	err := src.Each(ctx, func(r *Result) error {
@@ -228,4 +228,16 @@ func Materialize(ctx context.Context, src Source) ([]*Result, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Rows returns the rows of an already-materialized source, shared and
+// read-only, or nil for a source that computes its rows as it streams.
+// A builder that reads its balls off the metric when one is at hand,
+// and searches for them otherwise, asks here without forcing a
+// streamed source to materialize.
+func Rows(src Source) []*Result {
+	if m, ok := src.(interface{ Results() []*Result }); ok {
+		return m.Results()
+	}
+	return nil
 }

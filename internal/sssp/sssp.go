@@ -2,11 +2,14 @@
 // neighborhood operators of §2.1: the metric d(u,v), the balls
 // B(u,r) = {v | d(u,v) ≤ r}, and N(u,m,Z) — the m closest nodes of Z to
 // u with ties broken by lexicographic (name) order. These operators are
-// the vocabulary every construction in the paper is written in.
+// the vocabulary every construction in the paper is written in. Every
+// row comes from one Dijkstra kernel, From, over an indexed 4-ary heap.
 package sssp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"compactroute/internal/graph"
@@ -32,7 +35,12 @@ type Result struct {
 }
 
 // From computes shortest paths in g from src using Dijkstra's algorithm
-// with an indexed binary heap. Runs in O((n + m) log n).
+// with an indexed 4-ary heap. Runs in O((n + m) log n).
+//
+// The heap pops in (distance, id) order and relaxes each popped node's
+// edges in port order, so every field is fixed by the order of strict
+// improvements alone: any indexed heap with that total order fills the
+// row identically.
 func From(g *graph.Graph, src graph.NodeID) *Result {
 	n := g.N()
 	res := &Result{
@@ -43,44 +51,58 @@ func From(g *graph.Graph, src graph.NodeID) *Result {
 		Order:      make([]graph.NodeID, 0, n),
 		g:          g,
 	}
+	dist, parent, parentPort := res.Dist, res.Parent, res.ParentPort
 	for i := 0; i < n; i++ {
-		res.Dist[i] = math.Inf(1)
-		res.Parent[i] = -1
-		res.ParentPort[i] = -1
+		dist[i] = math.Inf(1)
+		parent[i] = -1
+		parentPort[i] = -1
 	}
-	res.Dist[src] = 0
-	h := newIndexedHeap(n)
+	dist[src] = 0
+	h := getHeap(n)
 	h.Push(src, 0)
-	// bestPort[v] tracks the tentative parent port so relaxations that
-	// are later overwritten do not leave stale ports behind.
 	for h.Len() > 0 {
 		u, du := h.PopMin()
 		res.Order = append(res.Order, u)
-		g.Neighbors(u, func(e graph.Edge) bool {
-			alt := du + e.Weight
-			if alt < res.Dist[e.To] {
-				res.Dist[e.To] = alt
-				res.Parent[e.To] = u
-				res.ParentPort[e.To] = int32(g.ReversePort(u, e.Port))
-				if h.Contains(e.To) {
-					h.DecreaseKey(e.To, alt)
+		to, w, rev := g.Adjacency(u)
+		w, rev = w[:len(to)], rev[:len(to)] // lets w[p] and rev[p] skip bounds checks
+		for p, v := range to {
+			alt := du + w[p]
+			if alt < dist[v] {
+				dist[v] = alt
+				parent[v] = u
+				parentPort[v] = rev[p]
+				if h.Contains(v) {
+					h.DecreaseKey(v, alt)
 				} else {
-					h.Push(e.To, alt)
+					h.Push(v, alt)
 				}
 			}
-			return true
-		})
-	}
-	// Dijkstra pops ties in id order; the paper breaks ties by
-	// lexicographic *name* order, so re-sort equal-distance runs.
-	sort.SliceStable(res.Order, func(i, j int) bool {
-		a, b := res.Order[i], res.Order[j]
-		if res.Dist[a] != res.Dist[b] {
-			return res.Dist[a] < res.Dist[b]
 		}
-		return g.Name(a) < g.Name(b)
-	})
+	}
+	heapPool.Put(h)
+	sortTiesByName(g, res.Order, dist)
 	return res
+}
+
+// sortTiesByName turns Dijkstra's pop order into the paper's
+// enumeration order. Weights are positive, so pops come in
+// nondecreasing distance and only runs of equal distance, which pop in
+// id order, are out of (distance, name) order; each run is sorted by
+// name, which is unique.
+func sortTiesByName(g *graph.Graph, order []graph.NodeID, dist []float64) {
+	for lo := 0; lo < len(order); {
+		d := dist[order[lo]]
+		hi := lo + 1
+		for hi < len(order) && dist[order[hi]] == d {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b graph.NodeID) int {
+				return cmp.Compare(g.Name(a), g.Name(b))
+			})
+		}
+		lo = hi
+	}
 }
 
 // Reached reports whether v is reachable from the source.

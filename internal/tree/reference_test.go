@@ -73,6 +73,7 @@ func (b *refBuilder) build() (*Tree, error) {
 		return nil, fmt.Errorf("tree: %d of %d nodes unreachable from root", n-len(t.nodes), n)
 	}
 	t.finish()
+	t.byDepth = make([]int32, n)
 	for i := range t.byDepth {
 		t.byDepth[i] = int32(i)
 	}
@@ -203,7 +204,8 @@ func TestConstructorMatchesMapBuilder(t *testing.T) {
 			name, g := c.name, c.g
 			rng := xrand.New(seed)
 			for _, src := range []graph.NodeID{0, graph.NodeID(rng.Intn(g.N())), graph.NodeID(g.N() - 1)} {
-				parent := sssp.From(g, src).Parent
+				row := sssp.From(g, src)
+				parent := row.Parent
 				check := func(what string, got *Tree, err error, want *Tree, werr error) {
 					t.Helper()
 					if err != nil || werr != nil {
@@ -224,7 +226,7 @@ func TestConstructorMatchesMapBuilder(t *testing.T) {
 						}
 					}
 					rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
-					got, err := FromPaths(g, src, parent, targets)
+					got, err := FromPaths(g, row, targets)
 					want, werr := refFromPaths(g, src, parent, targets)
 					check("FromPaths", got, err, want, werr)
 					back, err := FromSnapshot(g, got.Snapshot())

@@ -63,7 +63,7 @@ func FromSnapshot(g *graph.Graph, s *Snapshot) (*Tree, error) {
 	}
 	sc.ids = members
 	slices.Sort(members)
-	t, err := fromParents(sc, g, s.Nodes[0], parent, members)
+	t, err := fromParents(sc, g, s.Nodes[0], parent, members, nil)
 	if err != nil {
 		return nil, err
 	}

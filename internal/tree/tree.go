@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"compactroute/internal/graph"
+	"compactroute/internal/sssp"
 )
 
 // Tree is an immutable rooted tree over a subset of a graph's nodes.
@@ -77,8 +78,10 @@ func getScratch(n int) *scratch {
 // which must be the root or another member. Nodes are indexed in BFS
 // order from the root with siblings in ascending id, and each tree edge
 // is the lightest edge between its ends, so one parent relation always
-// freezes into one tree.
-func fromParents(sc *scratch, g *graph.Graph, root graph.NodeID, parent, members []graph.NodeID) (*Tree, error) {
+// freezes into one tree. order, when not nil, lists every member (and
+// possibly other nodes) by (depth, name), and the by-depth order is
+// read off it instead of sorted.
+func fromParents(sc *scratch, g *graph.Graph, root graph.NodeID, parent, members, order []graph.NodeID) (*Tree, error) {
 	m := len(members)
 	n := m + 1
 	// slot[v] is 1 + v's position in members (m+1 for the root, 0 for a
@@ -151,7 +154,25 @@ func fromParents(sc *scratch, g *graph.Graph, root graph.NodeID, parent, members
 		return nil, fmt.Errorf("tree: %d of %d nodes unreachable from root", n-len(t.nodes), n)
 	}
 	t.finish()
-	return t, nil
+	if order == nil {
+		t.sortByDepth()
+		return t, nil
+	}
+	// slot[v] becomes 1 + v's tree index; order lists the members by
+	// (depth, name), so the first n members it names are all of them.
+	for i, v := range t.nodes {
+		slot[v] = int32(i) + 1
+	}
+	t.byDepth = make([]int32, 0, n)
+	for _, v := range order {
+		if slot[v] != 0 {
+			t.byDepth = append(t.byDepth, slot[v]-1)
+			if len(t.byDepth) == n {
+				return t, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("tree: order lists %d of %d members", len(t.byDepth), n)
 }
 
 func (t *Tree) push(id graph.NodeID, parent, parentPort, childPort int32, w, d float64) {
@@ -164,8 +185,8 @@ func (t *Tree) push(id graph.NodeID, parent, parentPort, childPort int32, w, d f
 	t.depth = append(t.depth, d)
 }
 
-// finish computes children, sizes, DFS numbering, heavy children and
-// the by-depth order. Iterative to stay safe on path-shaped trees.
+// finish computes children, sizes, DFS numbering and heavy children.
+// Iterative to stay safe on path-shaped trees.
 func (t *Tree) finish() {
 	n := len(t.nodes)
 	t.childOff = make([]int32, n+1)
@@ -236,7 +257,11 @@ func (t *Tree) finish() {
 		counter++
 		stack = append(stack, frame{c, -1})
 	}
-	t.byDepth = make([]int32, n)
+}
+
+// sortByDepth computes the by-depth order by sorting on (depth, name).
+func (t *Tree) sortByDepth() {
+	t.byDepth = make([]int32, len(t.nodes))
 	for i := range t.byDepth {
 		t.byDepth[i] = int32(i)
 	}
@@ -260,15 +285,22 @@ func FromSPT(g *graph.Graph, src graph.NodeID, parent []graph.NodeID) (*Tree, er
 		}
 	}
 	sc.ids = members
-	return fromParents(sc, g, src, parent, members)
+	return fromParents(sc, g, src, parent, members, nil)
 }
 
-// FromPaths builds the union of root→target shortest paths: the
-// "minimum cost path tree spanning" a target set, as used for the
-// landmark trees T(c(u,i)) in §3.1. Intermediate path nodes become tree
-// members too (they must store routing state for the tree to work).
-// The tree depends on the target set only, not on its order.
-func FromPaths(g *graph.Graph, src graph.NodeID, parent []graph.NodeID, targets []graph.NodeID) (*Tree, error) {
+// FromPaths builds the union of root→target shortest paths in a
+// Dijkstra row from the root: the "minimum cost path tree spanning" a
+// target set, as used for the landmark trees T(c(u,i)) in §3.1.
+// Intermediate path nodes become tree members too (they must store
+// routing state for the tree to work). The tree depends on the target
+// set only, not on its order.
+//
+// A member's depth is its parent's depth plus the lightest edge
+// between them, the same float sum the row stored as its distance, so
+// the by-depth order is the row's Order restricted to the members and
+// needs no sort.
+func FromPaths(g *graph.Graph, row *sssp.Result, targets []graph.NodeID) (*Tree, error) {
+	src, parent := row.Source, row.Parent
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	onPath := sc.mark
@@ -299,7 +331,7 @@ walk:
 	if err != nil {
 		return nil, err
 	}
-	return fromParents(sc, g, src, parent, members)
+	return fromParents(sc, g, src, parent, members, row.Order)
 }
 
 // Len returns the number of tree members.
@@ -365,7 +397,8 @@ func (t *Tree) InSubtree(anc, desc int) bool {
 }
 
 // ByDepth returns the tree indices sorted by (depth, name): the order
-// Lemma 4 assigns primary names in (do not mutate).
+// Lemma 4 assigns primary names in (do not mutate). A FromPaths tree
+// reads it off its row's Order; the others sort.
 func (t *Tree) ByDepth() []int32 { return t.byDepth }
 
 // Radius returns max_u d_T(root, u), the rad(T) of Lemma 6.

@@ -62,7 +62,7 @@ func TestSPTDepthMatchesDistances(t *testing.T) {
 func TestFromPathsPrunes(t *testing.T) {
 	g := gen.Star(3, 10, gen.Unit())
 	r := sssp.From(g, 1) // leaf root: paths go through center 0
-	tr, err := FromPaths(g, 1, r.Parent, []graph.NodeID{5, 7})
+	tr, err := FromPaths(g, r, []graph.NodeID{5, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFromPathsUnreachable(t *testing.T) {
 	b.AddEdge(2, 3, 1)
 	g, _ := b.Build()
 	r := sssp.From(g, 0)
-	if _, err := FromPaths(g, 0, r.Parent, []graph.NodeID{3}); err == nil {
+	if _, err := FromPaths(g, r, []graph.NodeID{3}); err == nil {
 		t.Fatal("unreachable target accepted")
 	}
 }
@@ -102,20 +102,20 @@ func TestFromParentsRejectsBadEdges(t *testing.T) {
 	parent := []graph.NodeID{-1, 0, 1, 2}
 	// One scratch for every call: a rejected call must leave it clean.
 	sc := getScratch(g.N())
-	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{0, 1}); err == nil {
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{0, 1}, nil); err == nil {
 		t.Fatal("root with parent accepted")
 	}
 	parent[3] = 0
-	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1, 2, 3}); err == nil {
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1, 2, 3}, nil); err == nil {
 		t.Fatal("non-adjacent parent accepted")
 	}
-	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1, 1}); err == nil {
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1, 1}, nil); err == nil {
 		t.Fatal("node listed twice accepted")
 	}
-	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{2}); err == nil {
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{2}, nil); err == nil {
 		t.Fatal("parent outside the tree accepted")
 	}
-	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1}); err != nil {
+	if _, err := fromParents(sc, g, 0, parent, []graph.NodeID{1}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,7 +124,7 @@ func TestFromParentsRejectsDisconnected(t *testing.T) {
 	g := gen.Path(5, 5, gen.Unit())
 	// 3 and 4 point at each other, so neither reaches the root.
 	parent := []graph.NodeID{-1, 0, -1, 4, 3}
-	if _, err := fromParents(getScratch(g.N()), g, 0, parent, []graph.NodeID{1, 3, 4}); err == nil {
+	if _, err := fromParents(getScratch(g.N()), g, 0, parent, []graph.NodeID{1, 3, 4}, nil); err == nil {
 		t.Fatal("disconnected tree accepted")
 	}
 }

@@ -114,7 +114,7 @@ func TestLabelOf(t *testing.T) {
 	// A node outside the tree.
 	g2 := gen.Star(7, 6, gen.Unit())
 	r := sssp.From(g2, 1)
-	tr2, _ := tree.FromPaths(g2, 1, r.Parent, []graph.NodeID{2})
+	tr2, _ := tree.FromPaths(g2, r, []graph.NodeID{2})
 	s2 := New(tr2)
 	if _, ok := s2.LabelOf(5); ok {
 		t.Fatal("LabelOf non-member succeeded")
@@ -124,7 +124,7 @@ func TestLabelOf(t *testing.T) {
 func TestStepRejectsNonMember(t *testing.T) {
 	g := gen.Star(8, 6, gen.Unit())
 	r := sssp.From(g, 1)
-	tr, _ := tree.FromPaths(g, 1, r.Parent, []graph.NodeID{2})
+	tr, _ := tree.FromPaths(g, r, []graph.NodeID{2})
 	s := New(tr)
 	// No position, in range or not, names a node outside the tree.
 	for at := -1; at <= tr.Len(); at++ {
