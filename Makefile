@@ -15,9 +15,12 @@ test:
 
 # Race tests run the -short suite: the 2k-node persistence acceptance
 # test is exercised (unraced) by `make test`, and racing it would
-# dominate the pipeline for no extra interleaving coverage.
+# dominate the pipeline for no extra interleaving coverage. The client
+# transport's tests run twenty times more: a race in its idle pool,
+# cancel hook or stale-connection retry shows only now and then.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=20 -run 'TestTransport' ./client
 
 # perfbench, the end-to-end benchmark (BENCHMARK.json), is a module of
 # its own that reaches this one through `replace compactroute => ../`,

@@ -8,13 +8,16 @@ package compactroute_test
 
 import (
 	"io"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"compactroute"
+	"compactroute/client"
 	"compactroute/internal/bench"
 	"compactroute/internal/gen"
 	"compactroute/internal/graph"
+	"compactroute/internal/server"
 	"compactroute/internal/sssp"
 )
 
@@ -137,6 +140,32 @@ func BenchmarkDynamicRebuildMetric512(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := d.Rebuild(b.Context()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClientRouteLoopback is one client read end to end over a
+// real socket: client.New's own transport against a paper shard
+// (server.New, n=256, k=3) on a loopback listener, so the shard's
+// handler, net/http's server and the client's inline round trip are
+// all in the measurement.
+func BenchmarkClientRouteLoopback(b *testing.B) {
+	srv, err := server.New(server.Config{Scheme: compactroute.KindPaper, N: 256, K: 3, Seed: 5, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	defer c.HTTP.CloseIdleConnections()
+	g := srv.Scheme().Network().Graph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, dst := g.Name(compactroute.NodeID(i%256)), g.Name(compactroute.NodeID((i*131+17)%256))
+		if _, err := c.RouteByName(b.Context(), src, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

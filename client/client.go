@@ -12,6 +12,14 @@
 //
 // The same client drives a single shard or a front-door — the
 // endpoints are identical; the front-door simply owns more names.
+//
+// New's transport runs every read (a GET without a body over plain
+// http: route, healthz, stats, trace) in the calling goroutine on a
+// kept-alive connection of its own pool, and hands every write
+// (mutate, rebuild, swap) and any https request to net/http's
+// Transport. Client.Timeout and a request's context cancel either.
+// Replacing c.HTTP or c.HTTP.Transport replaces all of that: the
+// replacement carries every request, reads included, as it sees fit.
 package client
 
 import (
@@ -21,13 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"compactroute"
 	"compactroute/internal/obs"
@@ -58,8 +64,9 @@ func IsStatus(err error, status int) bool {
 type Client struct {
 	// BaseURL is the server root, without a trailing slash.
 	BaseURL string
-	// HTTP performs the requests. New installs a transport tuned for
-	// many small keep-alive requests to one host.
+	// HTTP performs the requests. New installs a transport that runs
+	// reads inline on its own keep-alive pool and writes on net/http's
+	// Transport (see the package doc); a Transport set here replaces it.
 	HTTP *http.Client
 }
 
@@ -74,14 +81,7 @@ var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b 
 func New(baseURL string) *Client {
 	return &Client{
 		BaseURL: strings.TrimRight(baseURL, "/"),
-		HTTP: &http.Client{
-			Transport: &http.Transport{
-				DialContext:         (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     time.Minute,
-			},
-		},
+		HTTP:    &http.Client{Transport: newTransport()},
 	}
 }
 

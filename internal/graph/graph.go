@@ -82,7 +82,7 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	if int(u) >= len(b.names) || int(v) >= len(b.names) || u < 0 || v < 0 {
 		return fmt.Errorf("graph: edge (%d,%d) references unknown node", u, v)
 	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+	if !validWeight(w) {
 		return fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", u, v, w)
 	}
 	b.us = append(b.us, u)
@@ -90,6 +90,11 @@ func (b *Builder) AddEdge(u, v NodeID, w float64) error {
 	b.ws = append(b.ws, w)
 	return nil
 }
+
+// validWeight reports whether w can weigh an edge: positive and
+// finite. Shortest-path searches rely on it; a negative weight sends
+// Dijkstra round a cycle forever.
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 0) }
 
 // ErrEmpty is returned when building a graph with no nodes.
 var ErrEmpty = errors.New("graph: no nodes")

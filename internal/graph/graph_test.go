@@ -86,6 +86,43 @@ func TestBadWeightsRejected(t *testing.T) {
 	}
 }
 
+// TestFromSnapshotRejectsInvalidEdges: a snapshot can carry no edge
+// AddEdge would refuse. A negative weight would otherwise load and
+// send every Dijkstra over the graph round a cycle forever.
+func TestFromSnapshotRejectsInvalidEdges(t *testing.T) {
+	valid := func() *Snapshot {
+		s := line(t, 3).Snapshot()
+		s.Weights = append([]float64(nil), s.Weights...)
+		return s
+	}
+	if _, err := FromSnapshot(valid()); err != nil {
+		t.Fatalf("valid snapshot: %v", err)
+	}
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := valid()
+		// Edge 1→2 and its reverse, so the pair stays consistent.
+		for i := s.Offsets[1]; i < s.Offsets[2]; i++ {
+			if v := s.Targets[i]; v == 2 {
+				s.Weights[i], s.Weights[s.Offsets[v]+s.RevPort[i]] = w, w
+			}
+		}
+		if _, err := FromSnapshot(s); err == nil {
+			t.Fatalf("snapshot with weight %v loaded", w)
+		}
+	}
+	loop := &Snapshot{
+		Names:   []uint64{1, 2},
+		Offsets: []int32{0, 2, 2},
+		Targets: []NodeID{0, 0},
+		Weights: []float64{1, 1},
+		RevPort: []int32{1, 0},
+		M:       1,
+	}
+	if _, err := FromSnapshot(loop); err == nil {
+		t.Fatal("snapshot with a self-loop loaded")
+	}
+}
+
 func TestUnknownEndpointRejected(t *testing.T) {
 	b := NewBuilder()
 	b.AddNode(1)

@@ -86,10 +86,17 @@ func FromSnapshot(s *Snapshot) (*Graph, error) {
 			return nil, fmt.Errorf("graph: snapshot edge %d targets unknown node %d", i, v)
 		}
 	}
-	// Reverse ports must point back across the same physical edge.
+	// Every edge must be one AddEdge accepts, and its reverse port must
+	// point back across the same physical edge.
 	for u := NodeID(0); int(u) < n; u++ {
 		for i := s.Offsets[u]; i < s.Offsets[u+1]; i++ {
 			v := s.Targets[i]
+			if v == u {
+				return nil, fmt.Errorf("graph: snapshot has a self-loop on node %d", u)
+			}
+			if w := s.Weights[i]; !validWeight(w) {
+				return nil, fmt.Errorf("graph: snapshot edge %d→%d has invalid weight %v", u, v, w)
+			}
 			rp := s.RevPort[i]
 			if rp < 0 || s.Offsets[v]+rp >= s.Offsets[v+1] {
 				return nil, fmt.Errorf("graph: snapshot reverse port of edge %d→%d out of range", u, v)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -11,6 +12,12 @@ type StatusRecorder struct {
 	http.ResponseWriter
 	Status int
 }
+
+// recorders pools Observe's status recorders: the recorder escapes as
+// the handler's ResponseWriter, so without the pool every request
+// allocates one at each tier. A recorder is reused once its handler
+// returns, so no handler may keep its writer past its return.
+var recorders = sync.Pool{New: func() any { return new(StatusRecorder) }}
 
 // WriteHeader records the status and forwards it.
 func (r *StatusRecorder) WriteHeader(code int) {
@@ -41,8 +48,12 @@ func (h *HTTP) Observe(endpoint string, next http.HandlerFunc) http.HandlerFunc 
 			w.Header().Set(Header, tr.ID())
 			r = r.WithContext(WithTrace(r.Context(), tr))
 		}
-		sw := &StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
+		sw := recorders.Get().(*StatusRecorder)
+		*sw = StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 		next(sw, r)
+		status := sw.Status
+		*sw = StatusRecorder{}
+		recorders.Put(sw)
 		dur := time.Since(start)
 		ep := stats.Load()
 		if ep == nil {
@@ -50,12 +61,12 @@ func (h *HTTP) Observe(endpoint string, next http.HandlerFunc) http.HandlerFunc 
 			stats.Store(ep)
 		}
 		if ep != nil {
-			ep.observe(sw.Status, dur.Seconds())
+			ep.observe(status, dur.Seconds())
 		}
 		if tr != nil {
-			tr.Finish(endpoint, sw.Status)
+			tr.Finish(endpoint, status)
 			h.Tracer.Store(tr)
 		}
-		h.Slow.Observe(endpoint, r.URL.RawQuery, tr.ID(), sw.Status, dur)
+		h.Slow.Observe(endpoint, r.URL.RawQuery, tr.ID(), status, dur)
 	}
 }

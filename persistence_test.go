@@ -2,9 +2,14 @@ package compactroute
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"compactroute/internal/codec"
+	"compactroute/internal/graph"
 )
 
 // TestSaveLoadEveryPersistableKind is the registry-wide round-trip:
@@ -70,6 +75,58 @@ func TestSaveLoadEveryPersistableKind(t *testing.T) {
 	}
 	if covered < 2 {
 		t.Fatalf("only %d persistable kinds in the registry; fulltable regressed?", covered)
+	}
+}
+
+// TestLoadRejectsInvalidEdgeWeights: a scheme file with a valid
+// checksum whose graph carries an edge weight AddEdge refuses fails
+// Load with an error. A negative weight used to load, and the first
+// shortest-path search over the loaded network (EnsureMetric, which
+// routed -metric runs) then never ended.
+func TestLoadRejectsInvalidEdgeWeights(t *testing.T) {
+	net := RandomNetwork(21, 40, 0.15, UniformWeights(1, 5))
+	for _, kind := range []string{KindPaper, KindFullTable} {
+		s, err := Build(net, Config{Kind: kind, K: 2, Seed: 7, SFactor: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []float64{-1, 0, math.Inf(1)} {
+			p, err := codec.PayloadFor(s.router)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gs **graph.Snapshot
+			if p.Core != nil {
+				c := *p.Core
+				p.Core, gs = &c, &c.Graph
+			} else {
+				f := *p.Full
+				p.Full, gs = &f, &f.Graph
+			}
+			bad := **gs
+			bad.Weights = append([]float64(nil), bad.Weights...)
+			i := bad.Offsets[0] // node 0's first edge, and its reverse
+			v := bad.Targets[i]
+			bad.Weights[i], bad.Weights[bad.Offsets[v]+bad.RevPort[i]] = w, w
+			*gs = &bad
+			var buf bytes.Buffer
+			if err := codec.EncodePayload(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Load(&buf)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("%s scheme with an edge of weight %v loaded", kind, w)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Load of a %s scheme with an edge of weight %v did not return", kind, w)
+			}
+		}
 	}
 }
 
