@@ -93,9 +93,6 @@ benchjson:
 	$(GO) run ./cmd/routebench -exp P1 -quick -json > BENCH_P1.json
 	@cat BENCH_P1.json
 	@test -s BENCH_P1.json || { echo "benchjson: empty BENCH_P1.json" >&2; exit 1; }
-	$(GO) run ./cmd/routebench -bench b1 -n 512 -json > BENCH_B1.json
-	@cat BENCH_B1.json
-	@test -s BENCH_B1.json || { echo "benchjson: empty BENCH_B1.json" >&2; exit 1; }
 	$(GO) run ./cmd/routebench -exp D1 -quick -json > BENCH_D1.json
 	@cat BENCH_D1.json
 	@test -s BENCH_D1.json || { echo "benchjson: empty BENCH_D1.json" >&2; exit 1; }

@@ -114,15 +114,13 @@ func BenchmarkDynamicStart512(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicRebuildMetric512 is one rebuild of routed -metric's
-// shard (the BenchmarkDynamicStart512 shard with EnsureMetric): one
-// pending weight change, replayed and built into a version that
-// carries its metric.
-func BenchmarkDynamicRebuildMetric512(b *testing.B) {
+// BenchmarkDynamicRebuild512 is one rebuild of the
+// BenchmarkDynamicStart512 shard: one pending weight change, replayed
+// and built into a version that carries its metric.
+func BenchmarkDynamicRebuild512(b *testing.B) {
 	net := compactroute.RandomNetwork(1, 512, 8.0/512, compactroute.UniformWeights(1, 8))
 	d, err := compactroute.NewDynamic(net, compactroute.DynamicOptions{
-		Configs:      []compactroute.Config{{Kind: compactroute.KindPaper, K: 3, Seed: 1, SFactor: 0.25}},
-		EnsureMetric: true,
+		Configs: []compactroute.Config{{Kind: compactroute.KindPaper, K: 3, Seed: 1, SFactor: 0.25}},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -139,7 +139,7 @@ func main() {
 		Candidates: *candidates,
 		Keep:       *keep,
 	}
-	clients := newClients(urls, *timeout)
+	clients := newClients(urls)
 	fmt.Printf("loadgen: %s, %d nodes, %d queries/pattern, concurrency %d\n",
 		strings.Join(urls, ", "), g.N(), *queries, *concurrency)
 
@@ -161,7 +161,7 @@ func main() {
 			fail(fmt.Errorf("-mutate-every must be ≥ 1"))
 		}
 		churner = &churn{
-			client: clients[0], muts: muts,
+			client: clients[0], muts: muts, timeout: *timeout,
 			mutateEvery: *mutateEvery, rebuildEvery: *rebuildEvery,
 		}
 		churner.start()
@@ -185,7 +185,7 @@ func main() {
 		if churner != nil {
 			counter = &churner.counter
 		}
-		rep, err := replay(clients, streams, *queries, *warmup, counter)
+		rep, err := replay(clients, streams, *queries, *warmup, *timeout, counter)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", p, err))
 		}
@@ -224,15 +224,25 @@ func splitTargets(s string) []string {
 	return urls
 }
 
-// newClients builds one API client per target, each with the replay's
-// per-request timeout.
-func newClients(urls []string, timeout time.Duration) []*client.Client {
+// newClients builds one API client per target. Each call is bounded
+// by its own context deadline (see bounded), not by HTTP.Timeout,
+// which net/http enforces on the client's own transport with a timer,
+// channels and a goroutine per request.
+func newClients(urls []string) []*client.Client {
 	clients := make([]*client.Client, len(urls))
 	for i, u := range urls {
 		clients[i] = client.New(u)
-		clients[i].HTTP.Timeout = timeout
 	}
 	return clients
+}
+
+// bounded returns ctx with the per-request timeout as its deadline;
+// a timeout ≤ 0 leaves the call unbounded, as HTTP.Timeout 0 did.
+func bounded(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout <= 0 {
+		return context.WithCancel(ctx)
+	}
+	return context.WithTimeout(ctx, timeout)
 }
 
 // patternStreams builds one deterministic stream per worker: every
@@ -273,6 +283,7 @@ func patternStreams(p workload.Pattern, g *graph.Graph, s *compactroute.Scheme, 
 type churn struct {
 	client       *client.Client
 	muts         []dynamic.Mutation
+	timeout      time.Duration // bounds each POST
 	mutateEvery  int
 	rebuildEvery int
 
@@ -303,12 +314,18 @@ func (c *churn) run() {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if _, c.err = c.client.Mutate(ctx, c.muts[c.applied]); c.err != nil {
+		mctx, cancel := bounded(ctx, c.timeout)
+		_, c.err = c.client.Mutate(mctx, c.muts[c.applied])
+		cancel()
+		if c.err != nil {
 			return
 		}
 		c.applied++
 		if c.rebuildEvery > 0 && c.applied%c.rebuildEvery == 0 {
-			if _, c.err = c.client.Rebuild(ctx); c.err != nil {
+			rctx, cancel := bounded(ctx, c.timeout)
+			_, c.err = c.client.Rebuild(rctx)
+			cancel()
+			if c.err != nil {
 				return
 			}
 			c.rebuilds++
@@ -326,7 +343,10 @@ func (c *churn) finish() error {
 		return c.err
 	}
 	if c.applied > 0 {
-		if _, err := c.client.RebuildWait(context.Background()); err != nil {
+		ctx, cancel := bounded(context.Background(), c.timeout)
+		_, err := c.client.RebuildWait(ctx)
+		cancel()
+		if err != nil {
 			return err
 		}
 		c.rebuilds++
@@ -399,8 +419,9 @@ func (r report) qps() float64 {
 // includes it. Transport-level errors abort the run; API error
 // statuses (a saturated daemon answering 503) are counted and the
 // replay continues. A non-nil counter receives one increment per
-// completed timed query — the churn pacing signal.
-func replay(clients []*client.Client, streams []*workload.Stream, queries, warmup int, counter *atomic.Uint64) (report, error) {
+// completed timed query — the churn pacing signal. Each read is
+// bounded by timeout (none when ≤ 0).
+func replay(clients []*client.Client, streams []*workload.Stream, queries, warmup int, timeout time.Duration, counter *atomic.Uint64) (report, error) {
 	workers := len(streams)
 	if workers > queries {
 		workers = queries
@@ -440,7 +461,9 @@ func replay(clients []*client.Client, streams []*workload.Stream, queries, warmu
 					q := streams[w].Next()
 					cl := clients[(w*7+i)%len(clients)]
 					t0 := time.Now()
-					_, err := cl.RouteByName(ctx, q.SrcName, q.DstName)
+					rctx, cancel := bounded(ctx, timeout)
+					_, err := cl.RouteByName(rctx, q.SrcName, q.DstName)
+					cancel()
 					var apiErr *client.Error
 					switch {
 					case err != nil && !errors.As(err, &apiErr):

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -67,7 +69,7 @@ func routeMux(pool *serve.Pool) *http.ServeMux {
 // for ≥ 3 patterns).
 func TestReplayPatterns(t *testing.T) {
 	scheme, ts := testDaemon(t)
-	clients := newClients([]string{ts.URL}, 5*time.Second)
+	clients := newClients([]string{ts.URL})
 	base := workload.Options{Seed: 1, Candidates: 64, Keep: 8}
 	for _, p := range []workload.Pattern{workload.Uniform, workload.Zipf, workload.Gravity, workload.Local, workload.Adversarial} {
 		streams, err := patternStreams(p, scheme.Network().Graph(), scheme, 4, base)
@@ -75,7 +77,7 @@ func TestReplayPatterns(t *testing.T) {
 			t.Fatalf("%s: %v", p, err)
 		}
 		const queries = 120
-		rep, err := replay(clients, streams, queries, 8, nil)
+		rep, err := replay(clients, streams, queries, 8, 5*time.Second, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -116,7 +118,7 @@ func TestReplaySpreadsAcrossTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replay(newClients(urls, time.Second), streams, 90, 0, nil)
+	rep, err := replay(newClients(urls), streams, 90, 0, time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestReplayCountsHTTPFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replay(newClients([]string{ts.URL}, time.Second), streams, 20, 0, nil)
+	rep, err := replay(newClients([]string{ts.URL}), streams, 20, 0, time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +191,59 @@ func TestReplayAbortsOnTransportError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replay(newClients([]string{ts.URL}, time.Second), streams, 10, 0, nil); err == nil {
+	if _, err := replay(newClients([]string{ts.URL}), streams, 10, 0, time.Second, nil); err == nil {
 		t.Fatal("replay against a dead daemon did not error")
+	}
+}
+
+// TestReplayTimesOutOnSilentListener: a target that accepts the
+// connection and never answers ends the read with a deadline error
+// within a small multiple of the per-request timeout.
+func TestReplayTimesOutOnSilentListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c) // held open, never read or answered
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepted
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	scheme, _ := testDaemon(t)
+	streams, err := patternStreams(workload.Uniform, scheme.Network().Graph(), scheme, 1, workload.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 100 * time.Millisecond
+	t0 := time.Now()
+	_, err = replay(newClients([]string{"http://" + ln.Addr().String()}), streams, 1, 0, timeout, nil)
+	elapsed := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("replay against a silent listener: got %v, want a deadline error", err)
+	}
+	if elapsed > 10*timeout {
+		t.Fatalf("the read took %v against a %v timeout", elapsed, timeout)
 	}
 }
 
@@ -238,7 +291,7 @@ func TestChurnPacesMutationsAndRebuilds(t *testing.T) {
 		{Op: dynamic.OpRemoveEdge, U: 1, V: 2},
 	}
 	c := &churn{
-		client: newClients([]string{ts.URL}, time.Second)[0], muts: muts,
+		client: newClients([]string{ts.URL})[0], muts: muts, timeout: time.Second,
 		mutateEvery: 10, rebuildEvery: 2,
 	}
 	c.start()
@@ -290,7 +343,8 @@ func TestChurnStopsOnDaemonError(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := &churn{
-		client:      newClients([]string{ts.URL}, time.Second)[0],
+		client:      newClients([]string{ts.URL})[0],
+		timeout:     time.Second,
 		muts:        []dynamic.Mutation{{Op: dynamic.OpSetWeight, U: 1, V: 2, W: 3}},
 		mutateEvery: 1,
 	}

@@ -1,11 +1,11 @@
 // Command routebench regenerates the reproduction's experiment tables
 // (T1–T10, F1–F2; see DESIGN.md §2 and EXPERIMENTS.md) and the
 // harness's own performance experiments — P1 (parallel query sweep),
-// B1 (streaming build cost), D1 (dynamic-topology churn: rebuild
-// latency, swap pause, staleness), D2 (failure resilience: delivery
-// and stretch under transient link/node loss, raw vs best-of-both and
-// flap damping), S1 (sharded serving tier: cluster throughput, tail
-// latency, coordinated cut-over pause vs shard count) — and measures the
+// D1 (dynamic-topology churn: rebuild latency, swap pause, staleness),
+// D2 (failure resilience: delivery and stretch under transient
+// link/node loss, raw vs best-of-both and flap damping), S1 (sharded
+// serving tier: cluster throughput, tail latency, coordinated cut-over
+// pause vs shard count) — and measures the
 // build-once/route-many split the persistence layer enables. -json
 // switches every experiment table to machine-readable JSON Lines (one
 // object per table), the format the BENCH_*.json perf trajectory
@@ -16,7 +16,6 @@
 //	routebench -all                         # every experiment, full sizes
 //	routebench -exp T2                      # one experiment
 //	routebench -exp T1 -quick -json         # smoke sizes, JSON output
-//	routebench -bench b1 -n 512 -json       # build-pipeline cost at one size
 //	routebench -save net.crsc -n 2000 -k 4  # pay the build, persist it
 //	routebench -save ft.crsc -scheme fulltable -n 500
 //	routebench -load net.crsc -queries 1e5  # measure pure query cost
@@ -45,7 +44,6 @@ import (
 
 func main() {
 	exp := flag.String("exp", "", "experiment id (one of "+strings.Join(bench.IDs(), ", ")+")")
-	benchName := flag.String("bench", "", "cost benchmark to run at the -n size (b1: build pipeline wall time + peak alloc)")
 	all := flag.Bool("all", false, "run every experiment")
 	quick := flag.Bool("quick", false, "smoke-test sizes")
 	jsonOut := flag.Bool("json", false, "emit experiment results as JSON Lines (one object per table) instead of text tables")
@@ -53,7 +51,7 @@ func main() {
 	saveFile := flag.String("save", "", "build a scheme (see -scheme/-n/-k/-p/-sfactor) and persist it to this file, reporting build vs save cost")
 	loadFile := flag.String("load", "", "load a persisted scheme and benchmark query throughput, reporting load vs query cost")
 	kind := flag.String("scheme", "paper", "registry kind to build for -save (persistable kinds only; see compactroute.Kinds)")
-	n := flag.Int("n", 2000, "node count for -save and -bench")
+	n := flag.Int("n", 2000, "node count for -save")
 	k := flag.Int("k", 4, "trade-off parameter for -save")
 	p := flag.Float64("p", 0, "gnp edge probability for -save (0: 8/n)")
 	sfactor := flag.Float64("sfactor", 0.25, "landmark S-set constant for -save")
@@ -72,16 +70,6 @@ func main() {
 	defer stop()
 	cfg := bench.Config{Quick: *quick, Seed: *seed, JSON: *jsonOut}
 	switch {
-	case *benchName != "":
-		if !strings.EqualFold(*benchName, "b1") {
-			fmt.Fprintf(os.Stderr, "routebench: unknown benchmark %q (have b1)\n", *benchName)
-			os.Exit(2)
-		}
-		// -n pins one size (the CI smoke uses 512); the canonical
-		// multi-size sweep runs via -exp B1.
-		if err := bench.RunB1Sizes(ctx, os.Stdout, cfg, []int{*n}); err != nil {
-			fail(err)
-		}
 	case *saveFile != "":
 		if err := buildAndSave(*saveFile, *kind, *n, *k, *p, *sfactor, *seed); err != nil {
 			fail(err)

@@ -66,7 +66,7 @@ func main() {
 	schemeArg := flag.String("scheme", "", "scheme to serve: a registry kind ("+strings.Join(compactroute.Kinds(), ", ")+") or a file written by compactroute.Save (required)")
 	addr := flag.String("addr", ":8347", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent route computations (0: GOMAXPROCS)")
-	metric := flag.Bool("metric", false, "compute the shortest-path metric at startup — and per rebuilt version — so responses carry true stretch (costs one APSP each time; built schemes start with it)")
+	metric := flag.Bool("metric", false, "compute a scheme file's shortest-path metric at startup so its responses carry true stretch (one APSP; kind-built schemes always carry it)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
 	k := flag.Int("k", 3, "trade-off parameter when building a kind")
 	n := flag.Int("n", 512, "node count for the generated topology when building a kind without -graph")

@@ -4,8 +4,8 @@
 // per route), and drives coordinated hot-swaps so every shard answers
 // from the same topology version.
 //
-//	routed -scheme fulltable -n 2000 -seed 7 -metric -addr :8347 &
-//	routed -scheme fulltable -n 2000 -seed 7 -metric -addr :8348 &
+//	routed -scheme fulltable -n 2000 -seed 7 -addr :8347 &
+//	routed -scheme fulltable -n 2000 -seed 7 -addr :8348 &
 //	routefront -shards http://localhost:8347,http://localhost:8348 -addr :8300
 //
 // Every shard must be started from the same topology source and seed:

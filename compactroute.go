@@ -28,10 +28,11 @@
 // with errors.Is. Persistable kinds round-trip through Save/Load in
 // the kind-tagged binary format of internal/codec.
 //
-// At scale, construction need not materialize the Θ(n²) all-pairs
-// metric: BuildStream feeds builders a parallel per-source
-// shortest-path stream (DESIGN.md §6) with bit-identical results, and
-// WrapGraphLazy adopts a graph without paying for its metric at all.
+// Every scheme builds from the network's all-pairs shortest paths,
+// computed once across all cores and kept on the network, so routed
+// results carry true stretch (DESIGN.md §6). WrapGraphLazy adopts a
+// graph without its metric until a build or EnsureMetric needs it;
+// BuildStream is Build honoring cancellation.
 //
 // Topologies need not be static either: NewDynamic serves a live
 // network through versioned snapshots — mutations accumulate in an
@@ -98,7 +99,7 @@ type tableSizer interface {
 type Network struct {
 	g        *graph.Graph
 	apsp     atomic.Pointer[[]*sssp.Result]
-	metricMu sync.Mutex // serializes EnsureMetric computations
+	metricMu sync.Mutex // serializes metric computations (EnsureMetric, metricCtx)
 }
 
 // BuildNetwork freezes the builder and precomputes the metric.
@@ -120,13 +121,10 @@ func WrapGraph(g *graph.Graph) *Network {
 }
 
 // WrapGraphLazy adopts an already-built graph without computing its
-// Θ(n²) metric — the entry point for building at scales where the
-// materialized metric is the bottleneck. Schemes built over a lazy
-// network with BuildStream construct from a result stream that the
-// streaming kinds consume in bounded memory (kind "paper"
-// materializes for the build's duration — see BuildStream); routed
-// results report MetricKnown == false (stretch unknown, exactly like
-// a network rehydrated by Load) until EnsureMetric is called.
+// Θ(n²) metric yet. The first Build, BuildStream, NewDynamic or
+// EnsureMetric on the network computes it and the network keeps it;
+// until then the network answers TryDistance with ErrNoMetric, like a
+// network rehydrated by Load.
 func WrapGraphLazy(g *graph.Graph) *Network { return &Network{g: g} }
 
 // adoptNetwork wraps a graph together with already-computed all-pairs
@@ -154,10 +152,10 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 func (n *Network) N() int { return n.g.N() }
 
 // HasMetric reports whether the all-pairs shortest-path metric is
-// available. Networks from BuildNetwork/WrapGraph always have it;
-// networks rehydrated by Load do not until EnsureMetric is called —
-// the entire point of persistence is serving queries without paying
-// for it.
+// available. Networks from BuildNetwork/WrapGraph always have it; a
+// WrapGraphLazy network gets it from its first build; networks
+// rehydrated by Load do not until EnsureMetric is called — the entire
+// point of persistence is serving queries without paying for it.
 func (n *Network) HasMetric() bool { return n.apsp.Load() != nil }
 
 // EnsureMetric computes the metric if absent (across all cores). It
@@ -175,15 +173,24 @@ func (n *Network) EnsureMetric() {
 	}
 }
 
-// adoptMetric publishes already-computed rows as the metric unless
-// the network has one, under the lock EnsureMetric computes under, so
-// the network still holds at most one metric.
-func (n *Network) adoptMetric(rows []*sssp.Result) {
+// metricCtx returns the metric, computing and publishing it first when
+// absent, as EnsureMetric does, but honoring ctx: a canceled sweep
+// returns its wrapped error and publishes nothing.
+func (n *Network) metricCtx(ctx context.Context) ([]*sssp.Result, error) {
+	if all := n.metric(); all != nil {
+		return all, nil
+	}
 	n.metricMu.Lock()
 	defer n.metricMu.Unlock()
-	if !n.HasMetric() {
-		n.apsp.Store(&rows)
+	if all := n.metric(); all != nil {
+		return all, nil
 	}
+	all, err := sssp.AllPairsParallelCtx(ctx, n.g, 0)
+	if err != nil {
+		return nil, err
+	}
+	n.apsp.Store(&all)
+	return all, nil
 }
 
 // Distance returns the shortest-path distance between two nodes. It
@@ -215,14 +222,6 @@ func (n *Network) shortest(u, v NodeID) (float64, bool) {
 		return 0, false
 	}
 	return all[u].Dist[v], true
-}
-
-// buildMetric returns the metric for scheme construction, computing
-// it first when building on a loaded network (construction needs the
-// full metric by definition).
-func (n *Network) buildMetric() []*sssp.Result {
-	n.EnsureMetric()
-	return n.metric()
 }
 
 // Result describes one routed message.

@@ -153,22 +153,12 @@ type VersionInfo struct {
 type DynamicOptions struct {
 	// Configs names the scheme kinds every version builds — one
 	// Config per kind, at least one, kinds distinct. Each rebuild
-	// reconstructs all of them through the streaming pipeline
-	// (BuildStream) over the replayed graph. Version 0 over a network
-	// that has its metric builds from that metric instead, and the
-	// paper kind shares its rows rather than holding a second copy.
+	// computes the replayed graph's metric once, across all cores and
+	// in the background, and builds all of them from it; version 0
+	// builds from the network's metric. The version's network keeps
+	// the rows, so routed results carry true stretch, and the paper
+	// kind shares them rather than holding a second copy.
 	Configs []Config
-	// Workers bounds each streamed build's shortest-path fan-out; 0
-	// means GOMAXPROCS. Version 0 over a network with its metric
-	// computes no shortest paths.
-	Workers int
-	// EnsureMetric computes the all-pairs metric of every version
-	// before it swaps in, so routed results always carry true stretch
-	// (Result.MetricKnown). It costs one APSP per rebuild, in the
-	// background — never on the serving path, and never after the
-	// swap — and every kind builds from those rows, so a version
-	// computes and holds its metric once.
-	EnsureMetric bool
 	// SnapshotDir, when set, persists every version before it swaps
 	// in: the sealed graph, each persistable kind with its lineage
 	// (codec v2), and a manifest (see internal/dynamic.Store).
@@ -204,20 +194,19 @@ type dynVersion struct {
 }
 
 // NewDynamic seals net's graph as version 0, builds its schemes
-// synchronously, and returns the live handle. The network's metric —
-// if it has one — is version 0's build input and serves its stretch
-// reporting. Otherwise version 0 streams its rows, and later versions
-// always do, unless DynamicOptions.EnsureMetric is set: then each
-// version computes its rows once and builds from them, and a lazy
-// net adopts version 0's rows as its metric. The handle keeps no
-// reference to net: it lives as long as version 0 does.
+// synchronously, and returns the live handle. The network's metric is
+// version 0's build input and serves its stretch reporting; a network
+// without one (WrapGraphLazy) computes it first and keeps it. Every
+// later version computes its own rows once and builds from them. The
+// handle keeps no reference to net: it lives as long as version 0
+// does.
 func NewDynamic(net *Network, o DynamicOptions) (*Dynamic, error) {
 	return NewDynamicCtx(context.Background(), net, o)
 }
 
 // NewDynamicCtx is NewDynamic honoring cancellation: the synchronous
-// version-0 build aborts when ctx does, returning the wrapped context
-// error instead of a handle.
+// version-0 build (and a lazy network's metric sweep) aborts when ctx
+// does, returning the wrapped context error instead of a handle.
 func NewDynamicCtx(ctx context.Context, net *Network, o DynamicOptions) (*Dynamic, error) {
 	d := &Dynamic{opts: o, baseNet: net, watchers: make(map[int]chan VersionInfo)}
 	if o.SnapshotDir != "" {
@@ -227,12 +216,14 @@ func NewDynamicCtx(ctx context.Context, net *Network, o DynamicOptions) (*Dynami
 		}
 		d.store = st
 	}
+	rows, err := net.metricCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("compactroute: version 0 metric: %w", err)
+	}
 	top, err := dynamic.NewTopology(ctx, net.g, dynamic.TopologyOptions{
-		Configs:      o.Configs,
-		Workers:      o.Workers,
-		Metric:       net.metric(),
-		EnsureMetric: o.EnsureMetric,
-		PreSwap:      d.preSwap,
+		Configs: o.Configs,
+		Metric:  rows,
+		PreSwap: d.preSwap,
 	})
 	if err != nil {
 		return nil, err
@@ -267,14 +258,9 @@ func (d *Dynamic) notify(vi VersionInfo) {
 // snapshot — all the expensive work, strictly before the swap.
 func (d *Dynamic) preSwap(v *dynamic.Version) error {
 	// The network reports stretch from the rows the schemes were built
-	// from; with EnsureMetric every version has them.
-	var net *Network
-	if v.ID == 0 && d.baseNet != nil {
-		net = d.baseNet
-		if rows := v.Metric(); rows != nil {
-			net.adoptMetric(rows)
-		}
-	} else {
+	// from: version 0's are the base network's own.
+	net := d.baseNet
+	if net == nil {
 		net = adoptNetwork(v.Graph(), v.Metric())
 	}
 	ds := &dynVersion{net: net, schemes: make(map[string]*Scheme, len(d.opts.Configs))}

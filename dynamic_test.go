@@ -26,8 +26,7 @@ func dynNet(tb testing.TB, n int, seed uint64) *Network {
 func TestDynamicApplyRebuildRoute(t *testing.T) {
 	net := dynNet(t, 96, 2)
 	d, err := NewDynamic(net, DynamicOptions{
-		Configs:      []Config{{Kind: KindFullTable}, {Kind: KindTZ, K: 2, Seed: 1}},
-		EnsureMetric: true,
+		Configs: []Config{{Kind: KindFullTable}, {Kind: KindTZ, K: 2, Seed: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +72,7 @@ func TestDynamicApplyRebuildRoute(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("watcher never notified")
 	}
-	// New version serves with a metric (EnsureMetric) and new names.
+	// The new version serves with its metric and the new names.
 	for _, m := range muts {
 		if m.Op != OpAddNode {
 			continue
@@ -264,12 +263,13 @@ func TestDynamicSwapHammer(t *testing.T) {
 func errorsNewf(format string, args ...any) error { return fmt.Errorf(format, args...) }
 
 // TestDynamicVersionZeroReusesMetric: over a network that has its
-// metric, version 0 builds from that metric. Its schemes equal a
-// streamed build's (the same network, lazy) route for route, in table
-// bits and in header bits; its paper scheme holds the network's own
-// rows, so the shard runs no second APSP and keeps no second copy. A
-// lazy network's version 0 still streams and leaves the network
-// without a metric.
+// metric, version 0 builds from that metric. Its schemes equal those
+// of a version 0 over the same graph without one (WrapGraphLazy),
+// route for route, in table bits and in header bits, and both carry
+// true stretch. Its paper scheme holds the network's own rows, so the
+// shard runs no second APSP and keeps no second copy; the lazy
+// network computes its rows once and keeps them, and its paper scheme
+// holds those.
 func TestDynamicVersionZeroReusesMetric(t *testing.T) {
 	warm := dynNet(t, 128, 3)
 	lazy := WrapGraphLazy(warm.Graph())
@@ -282,60 +282,58 @@ func TestDynamicVersionZeroReusesMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := NewDynamic(lazy, opts)
+	computed, err := NewDynamic(lazy, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lazy.HasMetric() {
-		t.Fatal("version 0 over a lazy network computed the network's metric")
+	if !lazy.HasMetric() {
+		t.Fatal("version 0 over a lazy network left it without the metric it built from")
 	}
 
-	rows := warm.metric()
+	rows, lazyRows := warm.metric(), lazy.metric()
 	shared := reused.Scheme(KindPaper).Core().Decomposition().Results()
-	own := streamed.Scheme(KindPaper).Core().Decomposition().Results()
-	if len(shared) != len(rows) || len(own) != len(rows) {
-		t.Fatalf("paper rows: %d reused, %d streamed, network has %d", len(shared), len(own), len(rows))
+	own := computed.Scheme(KindPaper).Core().Decomposition().Results()
+	if len(shared) != len(rows) || len(own) != len(rows) || len(lazyRows) != len(rows) {
+		t.Fatalf("paper rows: %d reused, %d computed, %d on the lazy network; the warm network has %d",
+			len(shared), len(own), len(lazyRows), len(rows))
 	}
 	for v := range rows {
 		if shared[v] != rows[v] {
 			t.Fatalf("row %d: version 0's paper scheme holds a copy, not the network's row", v)
 		}
-		if own[v] == rows[v] {
-			t.Fatalf("row %d: the lazy network's version 0 holds the warm network's row", v)
+		if own[v] != lazyRows[v] || own[v] == rows[v] {
+			t.Fatalf("row %d: the lazy network's version 0 does not hold the lazy network's own row", v)
 		}
 	}
 
 	g := warm.Graph()
 	for _, kind := range kinds {
-		a, b := reused.Scheme(kind), streamed.Scheme(kind)
+		a, b := reused.Scheme(kind), computed.Scheme(kind)
 		if a.MaxTableBits() != b.MaxTableBits() || a.MeanTableBits() != b.MeanTableBits() {
-			t.Fatalf("%s: table bits %d/%v reused, %d/%v streamed",
+			t.Fatalf("%s: table bits %d/%v reused, %d/%v computed",
 				kind, a.MaxTableBits(), a.MeanTableBits(), b.MaxTableBits(), b.MeanTableBits())
 		}
 		for q := 0; q < 400; q++ {
 			src, dst := g.Name(NodeID(q%g.N())), g.Name(NodeID((q*37+11)%g.N()))
-			got, want := mustRoute(t, reused, kind, src, dst), mustRoute(t, streamed, kind, src, dst)
-			if got.Delivered != want.Delivered || got.Cost != want.Cost || got.Hops != want.Hops || got.HeaderBits != want.HeaderBits {
-				t.Fatalf("%s %#x→%#x: reused %+v, streamed %+v", kind, src, dst, got, want)
-			}
-			if !got.MetricKnown || want.MetricKnown {
-				t.Fatalf("%s: stretch known %v over the warm network, %v over the lazy one", kind, got.MetricKnown, want.MetricKnown)
+			got, want := mustRoute(t, reused, kind, src, dst), mustRoute(t, computed, kind, src, dst)
+			if got != want || !got.MetricKnown {
+				t.Fatalf("%s %#x→%#x: reused %+v, computed %+v", kind, src, dst, got, want)
 			}
 		}
 	}
 }
 
-// TestDynamicEnsureMetricComputesOnce: with EnsureMetric every
-// version computes its metric once. Version 0 over a lazy network and
-// a rebuilt version both build from rows the network then holds — the
+// TestDynamicMetricOncePerVersion: every version computes its metric
+// once, with no option asked. Version 0 over a lazy network and a
+// rebuilt version both build from rows their network then holds — the
 // paper scheme's rows are the network's own — so answers carry the
 // metric, and the rebuilt version routes exactly as a cold build of
 // the replayed topology.
-func TestDynamicEnsureMetricComputesOnce(t *testing.T) {
+func TestDynamicMetricOncePerVersion(t *testing.T) {
 	net := dynNet(t, 128, 3)
 	lazy := WrapGraphLazy(net.Graph())
 	cfgs := []Config{{Kind: KindPaper, K: 3, Seed: 5, SFactor: 0.25}, {Kind: KindTZ, K: 2, Seed: 5}}
-	d, err := NewDynamic(lazy, DynamicOptions{Configs: cfgs, EnsureMetric: true})
+	d, err := NewDynamic(lazy, DynamicOptions{Configs: cfgs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +391,48 @@ func TestDynamicEnsureMetricComputesOnce(t *testing.T) {
 				t.Fatalf("%s %#x→%#x: rebuilt %+v, cold %+v", cfg.Kind, src, dst, got, w)
 			}
 		}
+	}
+}
+
+// TestDynamicCanceledRebuildKeepsServing: a rebuild whose metric sweep
+// is canceled mid-way, or whose context is canceled before it starts,
+// returns the wrapped context error, leaves no worker running, and
+// leaves the old version serving with the mutations still pending; the
+// next rebuild absorbs them.
+func TestDynamicCanceledRebuildKeepsServing(t *testing.T) {
+	net := dynNet(t, 96, 6)
+	d, err := NewDynamic(net, DynamicOptions{Configs: []Config{{Kind: KindPaper, K: 2, Seed: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts, err := GenerateMutations(net, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Apply(muts...); err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph()
+	src, dst := g.Name(0), g.Name(NodeID(g.N()-1))
+	want := mustRoute(t, d, KindPaper, src, dst)
+	before := runtime.NumGoroutine()
+	for _, k := range []int32{1, 5} {
+		ctx, cancel := cancelAt(k)
+		_, err := d.Rebuild(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("rebuild canceled at ctx check %d: got %v, want wrapped context.Canceled", k, err)
+		}
+		if v := d.Version(); v.ID != 0 || d.Pending() != uint64(len(muts)) {
+			t.Fatalf("after a canceled rebuild: serving %+v with %d pending", v, d.Pending())
+		}
+		if got := mustRoute(t, d, KindPaper, src, dst); got != want {
+			t.Fatalf("after a canceled rebuild the old version routes %+v, want %+v", got, want)
+		}
+	}
+	waitGoroutines(t, before)
+	if v, err := d.Rebuild(context.Background()); err != nil || v.ID != 1 || d.Pending() != 0 {
+		t.Fatalf("rebuild after the canceled ones: %+v, %d pending, err %v", v, d.Pending(), err)
 	}
 }
 

@@ -4,8 +4,8 @@
 // dependency. It exists to make the repository's correctness
 // conventions mechanical instead of reviewed-for:
 //
-//   - byte-identical streamed-vs-materialized builds require
-//     deterministic iteration in every codec/replay path,
+//   - byte-identical rebuilt-vs-cold builds require deterministic
+//     iteration in every codec/replay path,
 //   - ctx-first cancellation flow keeps caller cancellation separable
 //     from shard faults (the PR 6 bug class),
 //   - the routeerr taxonomy only works if consumers classify with

@@ -9,8 +9,8 @@
 //   - context.Background() / context.TODO() calls. One shape is
 //     accepted: the repository's convenience-wrapper idiom, where a
 //     context-less exported function forwards directly to its
-//     context-taking variant (Route → RouteCtx, NewAPCover →
-//     NewAPCoverStream). The callee must extend the wrapper's own
+//     context-taking variant (Route → RouteCtx, Build →
+//     BuildStream). The callee must extend the wrapper's own
 //     name and the wrapper must not itself have a context to pass.
 //   - a context.Context parameter that is not the first parameter of
 //     its signature (receivers excluded).
@@ -75,7 +75,7 @@ func checkBackground(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) 
 // isWrapperForward recognizes the convenience-wrapper idiom: the
 // Background() call is a direct argument of a call to a function
 // whose name extends the enclosing function's own name (Route →
-// RouteCtx, NewFullTable → NewFullTableStream), and the wrapper has
+// RouteCtx, AllPairsParallel → AllPairsParallelCtx), and the wrapper has
 // no context parameter it should have forwarded instead.
 func isWrapperForward(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
 	fnNode, fnName := analysis.EnclosingFunc(stack)

@@ -1,5 +1,5 @@
 // Package mapdeterminism enforces the byte-identical output contract
-// on the repository's encoding and replay paths: a streamed build, a
+// on the repository's encoding and replay paths: a rebuilt version, a
 // replayed mutation log, and a cold build must produce identical
 // bytes, so nothing on those paths may iterate a Go map in its
 // randomized order.

@@ -1,7 +1,7 @@
 // Package rawrand keeps randomized construction reproducible: every
 // build, replay, and workload path must draw from the seeded
 // internal/xrand generator, because the repository's guarantees are
-// stated as byte-identities (streamed == materialized, replay == cold
+// stated as byte-identities (rebuilt == cold build, replay == cold
 // build) and the global math/rand source makes runs unrepeatable.
 //
 // The analyzer flags calls to the global-state top-level functions of

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -41,18 +40,9 @@ type APCoverParams struct {
 }
 
 // NewAPCover builds covers at every scale of the graph's aspect ratio.
-// It is NewAPCoverStream over a materialized source.
+// The rows fix the number of scales (through the largest
+// eccentricity), and every scale's cover reads its balls off them.
 func NewAPCover(g *graph.Graph, all []*sssp.Result, p APCoverParams) (*APCover, error) {
-	return NewAPCoverStream(context.Background(), g, sssp.Materialized(g, all), p)
-}
-
-// NewAPCoverStream is NewAPCover fed by a per-source result stream.
-// The shortest-path sweep contributes one scalar here — the maximum
-// eccentricity, fixing the number of radius scales — so the builder
-// folds the stream in O(1) state and retains no row. A materialized
-// source's rows are already paid for, so every scale's cover reads its
-// balls off them; a streamed source's covers search for theirs.
-func NewAPCoverStream(ctx context.Context, g *graph.Graph, src sssp.Source, p APCoverParams) (*APCover, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("baseline: apcover k must be ≥ 1")
 	}
@@ -64,14 +54,10 @@ func NewAPCoverStream(ctx context.Context, g *graph.Graph, src sssp.Source, p AP
 		minW = 1
 	}
 	maxD := 0.0
-	err := src.Each(ctx, func(r *sssp.Result) error {
+	for _, r := range all {
 		if rad := r.Radius(); rad > maxD {
 			maxD = rad
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: apcover build: %w", err)
 	}
 	aspect := math.Max(maxD/minW, 1)
 	scaleCount := int(math.Ceil(math.Log2(aspect))) + 1
@@ -79,13 +65,9 @@ func NewAPCoverStream(ctx context.Context, g *graph.Graph, src sssp.Source, p AP
 		scaleCount = 1
 	}
 	a := &APCover{g: g, k: p.K, minW: minW, acct: bitsize.NewAccountant(g.N())}
-	metric := sssp.Rows(src)
 	for i := 0; i < scaleCount; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("baseline: apcover build: %w", err)
-		}
 		rho := minW * math.Ldexp(1, i)
-		cov, err := cover.Build(g, cover.Params{K: p.K, Rho: rho, Metric: metric})
+		cov, err := cover.Build(g, cover.Params{K: p.K, Rho: rho, Metric: all})
 		if err != nil {
 			return nil, fmt.Errorf("baseline: apcover scale %d: %w", i, err)
 		}

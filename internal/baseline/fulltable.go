@@ -21,7 +21,6 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 
 	"compactroute/internal/bitsize"
@@ -39,36 +38,16 @@ type FullTable struct {
 }
 
 // NewFullTable builds next-hop tables from all-pairs shortest paths.
-// It is NewFullTableStream over a materialized source; the streaming
-// entry point is the one that scales.
+// Each source's table row depends only on that source's shortest-path
+// tree; the n×n table is the scheme's storage.
 func NewFullTable(g *graph.Graph, all []*sssp.Result) (*FullTable, error) {
-	return NewFullTableStream(context.Background(), g, sssp.Materialized(g, all))
-}
-
-// NewFullTableStream builds next-hop tables from a per-source result
-// stream. Each source's table row depends only on that source's
-// shortest-path tree, so the builder consumes one row at a time and
-// never holds more shortest-path state than the source keeps in
-// flight — the n×n output table itself is the scheme's storage, not
-// working memory.
-func NewFullTableStream(ctx context.Context, g *graph.Graph, src sssp.Source) (*FullTable, error) {
 	n := g.N()
-	if src.N() != n {
-		return nil, fmt.Errorf("baseline: got %d results for %d nodes", src.N(), n)
+	if len(all) != n {
+		return nil, fmt.Errorf("baseline: got %d results for %d nodes", len(all), n)
 	}
 	f := &FullTable{g: g, next: make([][]int32, n), acct: bitsize.NewAccountant(n)}
-	rows := 0
-	err := src.Each(ctx, func(r *sssp.Result) error {
-		f.next[r.Source] = f.fillRow(r)
-		rows++
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: fulltable build: %w", err)
-	}
-	if rows != n {
-		// A short stream would leave nil rows that panic at route time.
-		return nil, fmt.Errorf("baseline: source delivered %d of %d rows", rows, n)
+	for u, r := range all {
+		f.next[u] = f.fillRow(r)
 	}
 	idb := bitsize.IDBits(n)
 	for u := 0; u < n; u++ {

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -51,36 +50,10 @@ type LandmarkChainParams struct {
 	Seed uint64
 }
 
-// NewLandmarkChain builds the scheme. It is NewLandmarkChainStream
-// over a materialized source.
+// NewLandmarkChain builds the scheme from all-pairs shortest paths:
+// each node's chain waypoints come from its own row, and each leg's
+// path from the row of the landmark it starts at.
 func NewLandmarkChain(g *graph.Graph, all []*sssp.Result, p LandmarkChainParams) (*LandmarkChain, error) {
-	return NewLandmarkChainStream(context.Background(), g, sssp.Materialized(g, all), p)
-}
-
-// lcRow is the slice of a shortest-path result the chain publication
-// pass needs from a landmark source: the parent links (for leg paths)
-// and parent ports (for the top-landmark climbing tables). Retaining
-// only these keeps a streamed build at O(#landmarks · n) extra memory
-// — in expectation n^{1-1/k} of the n rows — instead of Θ(n²).
-type lcRow struct {
-	source     graph.NodeID
-	parent     []graph.NodeID
-	parentPort []int32
-}
-
-// pathTo reconstructs the shortest path source→to from the retained
-// parent links; nil if unreached.
-func (r *lcRow) pathTo(to graph.NodeID) []graph.NodeID {
-	return sssp.PathFromParents(r.parent, r.source, to)
-}
-
-// NewLandmarkChainStream builds the scheme from a per-source result
-// stream in one pass. Rows are consumed in source order: every node's
-// chain waypoints are resolved from its own row while it is in hand,
-// and only landmark rows (needed later as leg-path sources) are
-// retained — slimmed to parents and ports, so their distance and
-// enumeration arrays are dropped immediately.
-func NewLandmarkChainStream(ctx context.Context, g *graph.Graph, src sssp.Source, p LandmarkChainParams) (*LandmarkChain, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("baseline: landmarkchain k must be ≥ 1")
 	}
@@ -100,8 +73,7 @@ func NewLandmarkChainStream(ctx context.Context, g *graph.Graph, src sssp.Source
 		l.chain[i] = make(map[chainKey]int32)
 	}
 	// Nested levels: rank(v) = number of consecutive successful coin
-	// flips with probability n^{-1/k}. Sampling happens before the
-	// stream so the retention predicate (rank ≥ 1) is known up front.
+	// flips with probability n^{-1/k}.
 	rng := xrand.New(p.Seed ^ 0x17ead)
 	keep := math.Pow(float64(n), -1/float64(p.K))
 	rank := make([]int, n)
@@ -130,56 +102,34 @@ func NewLandmarkChainStream(ctx context.Context, g *graph.Graph, src sssp.Source
 	}
 	sort.Slice(l.tops, func(i, j int) bool { return l.tops[i] < l.tops[j] })
 
-	// Stream pass: resolve every node's chain waypoints from its own
-	// row; retain the slim rows of landmarks (leg-path sources) and
-	// tops (climbing tables). When top == 0 every node is a landmark
-	// and retention degenerates to the full sweep — matching the
-	// scheme's own Θ(n²) storage in that regime.
-	retain := make(map[graph.NodeID]*lcRow)
-	waypoints := make([][]graph.NodeID, n)
-	err := src.Each(ctx, func(r *sssp.Result) error {
-		v := r.Source
-		if rank[v] >= 1 || rank[v] >= top {
-			retain[v] = &lcRow{source: v, parent: r.Parent, parentPort: r.ParentPort}
-		}
-		name := g.Name(v)
-		ti := int(xrand.Hash64(p.Seed, name) % uint64(len(l.tops)))
-		wps := []graph.NodeID{l.tops[ti]}
-		for lev := top - 1; lev >= 1; lev-- {
-			c := r.Closest(1, func(w graph.NodeID) bool { return rank[w] >= lev })
-			if len(c) == 1 && c[0] != wps[len(wps)-1] {
-				wps = append(wps, c[0])
-			}
-		}
-		if wps[len(wps)-1] != v {
-			wps = append(wps, v)
-		}
-		waypoints[v] = wps
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: landmarkchain build: %w", err)
-	}
-
 	// Every node stores its SPT port toward every top landmark.
 	l.topPort = make([][]int32, len(l.tops))
 	for ti, t := range l.tops {
 		ports := make([]int32, n)
-		copy(ports, retain[t].parentPort) // port at v toward t (SPT parent)
+		copy(ports, all[t].ParentPort) // port at v toward t (SPT parent)
 		l.topPort[ti] = ports
 	}
 
 	// Publish chains: top = hash(name); then nearest landmark of each
 	// lower level (from the node itself); finally the node. Each leg is
-	// a shortest path from a retained landmark row; every node along it
-	// stores the next port for (name, leg).
+	// a shortest path from its starting landmark's row; every node
+	// along it stores the next port for (name, leg).
 	for v := 0; v < n; v++ {
 		name := g.Name(graph.NodeID(v))
-		wps := waypoints[v]
+		ti := int(xrand.Hash64(p.Seed, name) % uint64(len(l.tops)))
+		wps := []graph.NodeID{l.tops[ti]}
+		for lev := top - 1; lev >= 1; lev-- {
+			c := all[v].Closest(1, func(w graph.NodeID) bool { return rank[w] >= lev })
+			if len(c) == 1 && c[0] != wps[len(wps)-1] {
+				wps = append(wps, c[0])
+			}
+		}
+		if wps[len(wps)-1] != graph.NodeID(v) {
+			wps = append(wps, graph.NodeID(v))
+		}
 		l.legs[name] = uint8(len(wps) - 1)
 		for leg := 0; leg+1 < len(wps); leg++ {
-			from, to := wps[leg], wps[leg+1]
-			path := retain[from].pathTo(to)
+			path := all[wps[leg]].PathTo(wps[leg+1])
 			for i := 0; i+1 < len(path); i++ {
 				port := g.PortTo(path[i], path[i+1])
 				l.chain[path[i]][chainKey{name, uint8(leg)}] = int32(port)

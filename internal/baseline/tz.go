@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -78,21 +77,12 @@ type TZParams struct {
 	Seed uint64
 }
 
-// NewTZ builds the labeled scheme. It is NewTZStream over a
-// materialized source.
+// NewTZ builds the labeled scheme from all-pairs shortest paths in two
+// passes over the rows. Pass one reads each node's row for its
+// per-level pivots and d(v, A_i); pass two reads each landmark's row —
+// every node is a level-0 landmark — for cluster membership and the
+// cluster tree.
 func NewTZ(g *graph.Graph, all []*sssp.Result, p TZParams) (*TZ, error) {
-	return NewTZStream(context.Background(), g, sssp.Materialized(g, all), p)
-}
-
-// NewTZStream builds the labeled scheme from a per-source result
-// stream in two passes. Pass one consumes each node's row to find its
-// per-level pivots and d(v, A_i); pass two consumes each landmark's
-// row — every node is a level-0 landmark — to test cluster membership
-// and build the cluster tree from that row's parents. Neither pass
-// retains a row, so working memory stays O(k·n) plus the cluster trees
-// themselves; the price is one extra sweep over the source (a
-// streaming source recomputes, a materialized one re-reads).
-func NewTZStream(ctx context.Context, g *graph.Graph, src sssp.Source, p TZParams) (*TZ, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("baseline: tz k must be ≥ 1")
 	}
@@ -123,11 +113,10 @@ func NewTZStream(ctx context.Context, g *graph.Graph, src sssp.Source, p TZParam
 	}
 
 	// Pass 1 — pivots: distToLevel[v][i] = d(v, A_i); +Inf above the
-	// top occupied level. Uses only v's own row, consumed in order.
+	// top occupied level. Uses only v's own row.
 	distToLevel := make([][]float64, n)
 	pivot := make([][]graph.NodeID, n)
-	err := src.Each(ctx, func(r *sssp.Result) error {
-		v := r.Source
+	for v, r := range all {
 		distToLevel[v] = make([]float64, p.K+1)
 		pivot[v] = make([]graph.NodeID, p.K)
 		for i := 0; i <= p.K; i++ {
@@ -145,17 +134,12 @@ func NewTZStream(ctx context.Context, g *graph.Graph, src sssp.Source, p TZParam
 			pivot[v][i] = pivot[v][top]
 			distToLevel[v][i] = distToLevel[v][top]
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: tz build (pivot pass): %w", err)
 	}
 
 	// Pass 2 — clusters: C(w) = {v : d(v,w) < d(v, A_{rank(w)+1})}; V
 	// for top-level landmarks. Membership and the cluster tree both
 	// come from w's own row (d(v,w) = d(w,v) on an undirected graph).
-	err = src.Each(ctx, func(r *sssp.Result) error {
-		w := int(r.Source)
+	for w, r := range all {
 		rw := rank[w]
 		isTop := rw >= top
 		members := []graph.NodeID{}
@@ -165,17 +149,13 @@ func NewTZStream(ctx context.Context, g *graph.Graph, src sssp.Source, p TZParam
 			}
 		}
 		if len(members) == 1 && members[0] == graph.NodeID(w) && !isTop {
-			return nil // singleton cluster: no structure needed
+			continue // singleton cluster: no structure needed
 		}
 		t, err := tree.FromPaths(g, r, members)
 		if err != nil {
-			return fmt.Errorf("baseline: tz cluster of %d: %w", w, err)
+			return nil, fmt.Errorf("baseline: tz cluster of %d: %w", w, err)
 		}
 		z.trees[graph.NodeID(w)] = &tzTree{t: t, lr: treeroute.New(t)}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: tz build (cluster pass): %w", err)
 	}
 
 	// Labels: per level the pivot and v's tree label in its cluster.

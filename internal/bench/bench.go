@@ -1,8 +1,8 @@
 // Package bench implements the experiment harness: one runner per
 // table/figure of DESIGN.md §2 (T1–T10, F1–F2) plus the harness's own
-// performance runners (P1 parallel query sweep, B1 build pipeline, D1
-// dynamic-topology churn, D2 failure resilience, S1 sharded serving
-// tier), each printing the series the reproduction reports in
+// performance runners (P1 parallel query sweep, D1 dynamic-topology
+// churn, D2 failure resilience, S1 sharded serving tier, O1 tracing
+// overhead), each printing the series the reproduction reports in
 // EXPERIMENTS.md.
 //
 // Every runner is deterministic given its seed and comes in two sizes:
@@ -77,7 +77,6 @@ var Experiments = map[string]Runner{
 	"T10": RunT10,
 	"P1":  RunP1,
 	"O1":  RunO1,
-	"B1":  RunB1,
 	"D1":  RunD1,
 	"D2":  RunD2,
 	"S1":  RunS1,

@@ -31,7 +31,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 // banners or prose — so BENCH_*.json trajectory files are parseable
 // without scraping.
 func TestJSONOutput(t *testing.T) {
-	for _, id := range []string{"T1", "T8", "P1", "B1", "D2", "S1"} {
+	for _, id := range []string{"T1", "T8", "P1", "D2", "S1"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf bytes.Buffer

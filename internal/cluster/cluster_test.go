@@ -27,7 +27,7 @@ func discardLogf(string, ...any) {}
 func shardConfig(n int) server.Config {
 	return server.Config{
 		Scheme: "fulltable", N: n, K: 2, Seed: 11, SFactor: 0.5,
-		Metric: true, Workers: 4, Logf: discardLogf,
+		Workers: 4, Logf: discardLogf,
 	}
 }
 

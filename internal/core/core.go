@@ -27,7 +27,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -176,22 +175,6 @@ type treerouteLabel = labelT
 // to share precomputed results across schemes.
 func Build(g *graph.Graph, p Params) (*Scheme, error) {
 	return BuildWithAPSP(g, sssp.AllPairsParallel(g, 0), p)
-}
-
-// BuildStream is Build fed by a per-source shortest-path stream. The
-// paper's construction is the one scheme in the registry that
-// genuinely needs random access across sources — the decomposition
-// retains the full metric for lazy ball queries (E, F, A sets) during
-// classification, tree construction, bound computation, and lemma
-// verification — so it requests a materialized view explicitly rather
-// than pretending to stream. Cancellation is honored while the view
-// materializes (the dominant cost at scale).
-func BuildStream(ctx context.Context, g *graph.Graph, src sssp.Source, p Params) (*Scheme, error) {
-	all, err := sssp.Materialize(ctx, src)
-	if err != nil {
-		return nil, fmt.Errorf("core: materializing metric: %w", err)
-	}
-	return BuildWithAPSP(g, all, p)
 }
 
 // BuildWithAPSP is Build with precomputed per-node shortest paths

@@ -1,9 +1,9 @@
 // Package dynamic is the control plane that turns the repository's
 // static preprocessing schemes into a live system: an append-only
-// graph mutation log, versioned immutable topology snapshots rebuilt
-// through the streaming pipeline (schemes.BuildStream), and a
-// hot-swap serving handle (Swapper) that publishes exactly one sealed
-// version at a time.
+// graph mutation log, versioned immutable topology snapshots — each
+// rebuilt from its own all-pairs metric, computed once and kept with
+// the version (Version.Metric) — and a hot-swap serving handle
+// (Swapper) that publishes exactly one sealed version at a time.
 //
 // The model follows the distance-oracle literature: a compact routing
 // scheme is a rebuildable compressed snapshot of the metric. Mutations
@@ -15,11 +15,10 @@
 //
 // Determinism is load-bearing end to end: the log is replayable
 // (Replay(g, A++B) and Replay(Replay(g, A), B) build byte-identical
-// CSR layouts — see Replay), builders are seeded, and the streaming
-// builds are property-tested bit-identical to materialized ones, so a
-// rebuilt version equals a cold build of the same graph. That is what
-// makes hot swap testable: post-swap routes must be bit-identical to a
-// cold build of the final topology.
+// CSR layouts — see Replay), builders are seeded and read only the
+// replayed graph's rows, so a rebuilt version equals a cold build of
+// the same graph. That is what makes hot swap testable: post-swap
+// routes must be bit-identical to a cold build of the final topology.
 package dynamic
 
 import (

@@ -217,13 +217,13 @@ func TestFaultTraceTextAndJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFaultTraceQuiescenceColdIdentical is the PR's core property: a
-// failure+recovery trace replayed to quiescence — with rebuilds cut
-// mid-outage, so transient state spans version boundaries — leaves the
-// graph byte-identical to a one-shot replay, and every scheme kind
-// routing bit-identically to a cold build of the final topology, at
-// every worker count. Failures are views, not topology: once every
-// element recovers, nothing about the rebuilt world may remember them.
+// TestFaultTraceQuiescenceColdIdentical is the fault layer's core
+// property: a failure+recovery trace replayed to quiescence — with
+// rebuilds cut mid-outage, so transient state spans version
+// boundaries — leaves the graph byte-identical to a one-shot replay,
+// and every scheme kind routing bit-identically to a cold build of the
+// final topology. Failures are views, not topology: once every element
+// recovers, nothing about the rebuilt world may remember them.
 func TestFaultTraceQuiescenceColdIdentical(t *testing.T) {
 	kinds := []string{
 		schemes.KindPaper, schemes.KindFullTable, schemes.KindAPCover,
@@ -249,51 +249,49 @@ func TestFaultTraceQuiescenceColdIdentical(t *testing.T) {
 		cold[kind] = c
 	}
 
-	for _, workers := range []int{1, 4} {
-		cfgs := make([]schemes.Config, len(kinds))
-		for i, k := range kinds {
-			cfgs[i] = schemes.Config{Kind: k, K: 2, Seed: 1}
+	cfgs := make([]schemes.Config, len(kinds))
+	for i, k := range kinds {
+		cfgs[i] = schemes.Config{Kind: k, K: 2, Seed: 1}
+	}
+	tp, err := NewTopology(context.Background(), g, TopologyOptions{Configs: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three rebuilds at arbitrary cut points: outages opened in one
+	// range recover in a later one, so each Rebuild replays a window
+	// that is NOT internally balanced — the composition property
+	// Replay's existence-only validation exists for.
+	cuts := []int{len(trace) / 3, 2 * len(trace) / 3, len(trace)}
+	prev := 0
+	for _, cut := range cuts {
+		if _, err := tp.Apply(trace[prev:cut]...); err != nil {
+			t.Fatalf("apply [%d:%d]: %v", prev, cut, err)
 		}
-		tp, err := NewTopology(context.Background(), g, TopologyOptions{Configs: cfgs, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+		if _, _, err := tp.Rebuild(context.Background()); err != nil {
+			t.Fatalf("rebuild at %d: %v", cut, err)
 		}
-		// Three rebuilds at arbitrary cut points: outages opened in one
-		// range recover in a later one, so each Rebuild replays a
-		// window that is NOT internally balanced — the composition
-		// property Replay's existence-only validation exists for.
-		cuts := []int{len(trace) / 3, 2 * len(trace) / 3, len(trace)}
-		prev := 0
-		for _, cut := range cuts {
-			if _, err := tp.Apply(trace[prev:cut]...); err != nil {
-				t.Fatalf("workers=%d apply [%d:%d]: %v", workers, prev, cut, err)
-			}
-			if _, _, err := tp.Rebuild(context.Background()); err != nil {
-				t.Fatalf("workers=%d rebuild at %d: %v", workers, cut, err)
-			}
-			prev = cut
-		}
-		hot := tp.Current()
-		if graphFingerprint(final) != graphFingerprint(hot.Graph()) {
-			t.Fatalf("workers=%d: quiesced graph diverged from one-shot replay", workers)
-		}
-		for _, kind := range kinds {
-			for s := 0; s < final.N(); s += 7 {
-				for d := 0; d < final.N(); d += 5 {
-					srcName := final.Name(graph.NodeID(s))
-					dstName := final.Name(graph.NodeID(d))
-					want, err := hot.engine.RouteCtx(context.Background(), cold[kind], graph.NodeID(s), dstName)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := hot.Route(context.Background(), kind, srcName, dstName)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Delivered != want.Delivered || got.Cost != want.Cost ||
-						got.Hops != want.Hops || got.MaxHeaderBits != want.MaxHeaderBits {
-						t.Fatalf("workers=%d %s %d→%d: hot %+v cold %+v", workers, kind, s, d, got, want)
-					}
+		prev = cut
+	}
+	hot := tp.Current()
+	if graphFingerprint(final) != graphFingerprint(hot.Graph()) {
+		t.Fatal("quiesced graph diverged from one-shot replay")
+	}
+	for _, kind := range kinds {
+		for s := 0; s < final.N(); s += 7 {
+			for d := 0; d < final.N(); d += 5 {
+				srcName := final.Name(graph.NodeID(s))
+				dstName := final.Name(graph.NodeID(d))
+				want, err := hot.engine.RouteCtx(context.Background(), cold[kind], graph.NodeID(s), dstName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := hot.Route(context.Background(), kind, srcName, dstName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Delivered != want.Delivered || got.Cost != want.Cost ||
+					got.Hops != want.Hops || got.MaxHeaderBits != want.MaxHeaderBits {
+					t.Fatalf("%s %d→%d: hot %+v cold %+v", kind, s, d, got, want)
 				}
 			}
 		}

@@ -45,7 +45,7 @@ type Version struct {
 	engine  *sim.Engine
 	schemes map[string]schemes.Scheme
 	kinds   []string       // the keys of schemes, sorted
-	metric  []*sssp.Result // the rows the schemes were built from, if materialized
+	metric  []*sssp.Result // the rows the schemes were built from
 }
 
 // Graph returns the sealed topology.
@@ -55,9 +55,8 @@ func (v *Version) Graph() *graph.Graph { return v.graph }
 func (v *Version) Scheme(kind string) schemes.Scheme { return v.schemes[kind] }
 
 // Metric returns the all-pairs shortest paths the version's schemes
-// were built from, one row per node, or nil when they streamed them.
-// A paper scheme of the version holds these same rows. Read them, do
-// not modify them.
+// were built from, one row per node. A paper scheme of the version
+// holds these same rows. Read them, do not modify them.
 func (v *Version) Metric() []*sssp.Result { return v.metric }
 
 // Kinds returns the kinds built into this version, sorted. The slice
@@ -88,19 +87,12 @@ type TopologyOptions struct {
 	// Configs names the scheme kinds every version builds, one per
 	// entry. At least one is required; kinds must be distinct.
 	Configs []schemes.Config
-	// Workers bounds the streaming build's shortest-path fan-out;
-	// 0 means GOMAXPROCS.
-	Workers int
 	// Metric, when set, is the all-pairs shortest paths of the graph
 	// NewTopology seals (sssp.AllPairs output, one row per node).
-	// Version 0 builds from these rows instead of streaming its own,
+	// Version 0 builds from these rows instead of computing its own,
 	// and a kind that keeps the metric (paper) shares them. The
 	// topology drops its reference once version 0 is built.
 	Metric []*sssp.Result
-	// EnsureMetric gives every version its metric (Version.Metric): a
-	// version without given rows computes them once, and every kind
-	// builds from them. Without it, later versions stream their rows.
-	EnsureMetric bool
 	// PreSwap, when set, runs after a candidate version is fully built
 	// and before it is swapped in. It is the hook for anything heavy
 	// that must complete before the version serves — persisting the
@@ -128,10 +120,10 @@ type Topology struct {
 }
 
 // NewTopology seals g as version 0, builds its schemes synchronously
-// in the calling goroutine — from opts.Metric when set, else streamed
-// — and starts the mutation log. The context cancels the version-0
-// build (builds at scale take seconds to minutes; construction should
-// not outlive its caller).
+// in the calling goroutine — from opts.Metric when set, else from rows
+// it computes — and starts the mutation log. The context cancels the
+// version-0 build (builds at scale take seconds to minutes;
+// construction should not outlive its caller).
 func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*Topology, error) {
 	if len(opts.Configs) == 0 {
 		return nil, fmt.Errorf("dynamic: NewTopology needs at least one scheme config")
@@ -163,19 +155,16 @@ func NewTopology(ctx context.Context, g *graph.Graph, opts TopologyOptions) (*To
 }
 
 // build constructs one version over g from the given shortest-path
-// rows, or, when rows is nil, from rows it computes once
-// (EnsureMetric) or streams.
+// rows, or, when rows is nil, from rows it computes once across all
+// cores. Every kind builds from the same rows, and the version keeps
+// them as its metric.
 func (t *Topology) build(ctx context.Context, g *graph.Graph, rows []*sssp.Result, id, parent, mutFrom, mutTo uint64) (*Version, error) {
 	t0 := time.Now()
-	src := sssp.Streamed(g, t.opts.Workers)
-	if rows == nil && t.opts.EnsureMetric {
+	if rows == nil {
 		var err error
-		if rows, err = sssp.Materialize(ctx, src); err != nil {
+		if rows, err = sssp.AllPairsParallelCtx(ctx, g, 0); err != nil {
 			return nil, fmt.Errorf("dynamic: version %d metric: %w", id, err)
 		}
-	}
-	if rows != nil {
-		src = sssp.Materialized(g, rows)
 	}
 	v := &Version{
 		ID:      id,
@@ -189,7 +178,10 @@ func (t *Topology) build(ctx context.Context, g *graph.Graph, rows []*sssp.Resul
 		metric:  rows,
 	}
 	for _, cfg := range t.opts.Configs {
-		s, err := schemes.BuildStream(ctx, g, src, cfg)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("dynamic: building version %d: %w", id, err)
+		}
+		s, err := schemes.Build(g, rows, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: building version %d kind %q: %w", id, cfg.Kind, err)
 		}
@@ -230,8 +222,8 @@ func (t *Topology) Pending() uint64 {
 }
 
 // Rebuild seals the log at its current position, replays the pending
-// range onto the serving graph in the background, builds every
-// configured scheme through the streaming pipeline, runs PreSwap, and
+// range onto the serving graph in the background, computes its metric
+// and builds every configured scheme from it, runs PreSwap, and
 // hot-swaps the result in. Rebuilds are serialized; concurrent callers
 // queue. With nothing pending the serving version is returned
 // unchanged (no swap, zero pause).

@@ -16,7 +16,6 @@
 package schemes
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -63,18 +62,12 @@ type Scheme interface {
 	MeanTableBits() float64
 }
 
-// Builder constructs one kind over a graph and its precomputed
-// all-pairs shortest paths (construction needs the full metric by
-// definition; serving does not — see the codec).
+// Builder constructs one kind over a graph and its all-pairs shortest
+// paths, one row per node in source order (construction needs the full
+// metric by definition; serving does not — see the codec). Builders
+// read the rows and never modify them: the caller's network and a
+// paper scheme's decomposition share the same rows.
 type Builder func(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error)
-
-// StreamBuilder constructs one kind from a per-source shortest-path
-// stream (sssp.Source) instead of a materialized Θ(n²) metric. A
-// builder that truly needs random access calls sssp.Materialize on the
-// source explicitly; everything else consumes rows in source order and
-// must produce a scheme bit-identical to its Builder counterpart
-// (property-tested across the registry).
-type StreamBuilder func(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error)
 
 // Info describes a registered kind.
 type Info struct {
@@ -88,10 +81,6 @@ type Info struct {
 	Persistable bool
 	// Build constructs the scheme.
 	Build Builder
-	// BuildStream constructs the scheme from a result stream. Optional:
-	// when nil, BuildStream materializes the source and falls back to
-	// Build, so externally registered kinds keep working unchanged.
-	BuildStream StreamBuilder
 }
 
 var (
@@ -160,30 +149,6 @@ func Build(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error) {
 	return info.Build(g, apsp, cfg)
 }
 
-// BuildStream constructs a scheme of cfg.Kind from a per-source
-// shortest-path stream — the scalable construction path. Kinds whose
-// builders consume rows in order (fulltable, apcover, landmark, tz)
-// never see a materialized metric, so their working memory is O(n) in
-// shortest-path state; kinds that need random access (paper, plus any
-// externally registered kind without a stream hook) materialize the
-// source explicitly. The built scheme is identical to Build's over the
-// same results. Cancelling ctx aborts the build with a wrapped
-// context error and releases the stream's workers.
-func BuildStream(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error) {
-	info, ok := Lookup(cfg.Kind)
-	if !ok {
-		return nil, fmt.Errorf("schemes: %w %q (have %v)", routeerr.ErrUnknownKind, cfg.Kind, Kinds())
-	}
-	if info.BuildStream != nil {
-		return info.BuildStream(ctx, g, src, cfg)
-	}
-	all, err := sssp.Materialize(ctx, src)
-	if err != nil {
-		return nil, fmt.Errorf("schemes: materializing metric for kind %q: %w", cfg.Kind, err)
-	}
-	return info.Build(g, all, cfg)
-}
-
 func init() {
 	Register(Info{
 		Kind:        KindPaper,
@@ -192,12 +157,6 @@ func init() {
 		Persistable: true,
 		Build: func(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error) {
 			return core.BuildWithAPSP(g, apsp, core.Params{K: cfg.K, Seed: cfg.Seed, SFactor: cfg.SFactor})
-		},
-		// The paper's construction needs random access across sources
-		// (its decomposition retains the metric for lazy ball queries),
-		// so its stream hook materializes explicitly — see core.BuildStream.
-		BuildStream: func(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error) {
-			return core.BuildStream(ctx, g, src, core.Params{K: cfg.K, Seed: cfg.Seed, SFactor: cfg.SFactor})
 		},
 	})
 	Register(Info{
@@ -208,9 +167,6 @@ func init() {
 		Build: func(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error) {
 			return baseline.NewFullTable(g, apsp)
 		},
-		BuildStream: func(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error) {
-			return baseline.NewFullTableStream(ctx, g, src)
-		},
 	})
 	Register(Info{
 		Kind:        KindAPCover,
@@ -218,9 +174,6 @@ func init() {
 		Model:       "name-independent, log Δ space",
 		Build: func(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error) {
 			return baseline.NewAPCover(g, apsp, baseline.APCoverParams{K: cfg.K, Seed: cfg.Seed})
-		},
-		BuildStream: func(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error) {
-			return baseline.NewAPCoverStream(ctx, g, src, baseline.APCoverParams{K: cfg.K, Seed: cfg.Seed})
 		},
 	})
 	Register(Info{
@@ -230,9 +183,6 @@ func init() {
 		Build: func(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error) {
 			return baseline.NewLandmarkChain(g, apsp, baseline.LandmarkChainParams{K: cfg.K, Seed: cfg.Seed})
 		},
-		BuildStream: func(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error) {
-			return baseline.NewLandmarkChainStream(ctx, g, src, baseline.LandmarkChainParams{K: cfg.K, Seed: cfg.Seed})
-		},
 	})
 	Register(Info{
 		Kind:        KindTZ,
@@ -240,9 +190,6 @@ func init() {
 		Model:       "labeled (weaker model)",
 		Build: func(g *graph.Graph, apsp []*sssp.Result, cfg Config) (Scheme, error) {
 			return baseline.NewTZ(g, apsp, baseline.TZParams{K: cfg.K, Seed: cfg.Seed})
-		},
-		BuildStream: func(ctx context.Context, g *graph.Graph, src sssp.Source, cfg Config) (Scheme, error) {
-			return baseline.NewTZStream(ctx, g, src, baseline.TZParams{K: cfg.K, Seed: cfg.Seed})
 		},
 	})
 }

@@ -278,6 +278,74 @@ func TestEndToEndChurn(t *testing.T) {
 	}
 }
 
+// TestRebuiltVersionCarriesMetric: at routed's defaults (kind paper,
+// n=512, no Metric) a rebuilt version answers with true stretch: every
+// answer carries the metric, its shortest cost equals a cold network's
+// of the replayed graph, on the pool and on the wire, and /v1/stats
+// reports the metric.
+func TestRebuiltVersionCarriesMetric(t *testing.T) {
+	srv, err := New(Config{Scheme: compactroute.KindPaper, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	net := srv.Scheme().Network()
+	muts, err := compactroute.GenerateMutations(net, 20, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Mutate(muts...); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := srv.Rebuild(t.Context()); err != nil || v.ID != 1 {
+		t.Fatalf("rebuild: %+v, %v", v, err)
+	}
+	cold, err := compactroute.ReplayNetwork(net, muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	g := cold.Graph()
+	for q := 0; q < 64; q++ {
+		u, w := compactroute.NodeID(q*7%g.N()), compactroute.NodeID((q*31+5)%g.N())
+		if u == w {
+			continue
+		}
+		want, err := cold.TryDistance(u, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, version, err := srv.routeVersioned(t.Context(), g.Name(u), g.Name(w))
+		if err != nil || version != 1 {
+			t.Fatalf("route %d→%d: version %d, err %v", u, w, version, err)
+		}
+		if !res.MetricKnown || res.ShortestCost != want {
+			t.Fatalf("route %d→%d: metric known %v, shortest %v; cold shortest %v", u, w, res.MetricKnown, res.ShortestCost, want)
+		}
+		got, err := c.RouteByName(t.Context(), g.Name(u), g.Name(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ShortestCost != want || got.Stretch < 1-1e-9 {
+			t.Fatalf("route %d→%d on the wire: shortest %v stretch %v; cold shortest %v", u, w, got.ShortestCost, got.Stretch, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Metric bool `json:"metric"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || !st.Metric {
+		t.Fatalf("/v1/stats metric %v (err %v), want true", st.Metric, err)
+	}
+}
+
 // TestRebuildWaitParamIsBoolean: ?wait=0 (and garbage) takes the
 // async 202 branch with an application/json body; only an affirmative
 // value blocks for the outcome.

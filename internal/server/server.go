@@ -79,11 +79,10 @@ type Config struct {
 	// SFactor is the landmark S-set constant for kind paper (0: 0.25).
 	SFactor float64
 
-	// Metric computes the shortest-path metric so responses carry true
-	// stretch: at start-up for a scheme file, and for every rebuilt
-	// version before it serves (one APSP each time). Kind-built schemes
-	// start with one regardless: the network computes it and version 0
-	// is built from that same metric, so start-up runs one APSP.
+	// Metric computes a scheme file's shortest-path metric at start-up
+	// (one APSP), so its responses carry true stretch. A kind-built
+	// scheme needs no flag for that: every version computes its metric
+	// once, builds from it and keeps it.
 	Metric bool
 
 	// Workers bounds concurrent route computations (0: GOMAXPROCS).
@@ -238,9 +237,8 @@ func (s *Server) initDynamic(cfg Config) error {
 		sfactor = 0.25
 	}
 	dyn, err := compactroute.NewDynamic(net, compactroute.DynamicOptions{
-		Configs:      []compactroute.Config{{Kind: cfg.Scheme, K: k, Seed: cfg.Seed, SFactor: sfactor}},
-		EnsureMetric: cfg.Metric,
-		SnapshotDir:  cfg.SnapshotDir,
+		Configs:     []compactroute.Config{{Kind: cfg.Scheme, K: k, Seed: cfg.Seed, SFactor: sfactor}},
+		SnapshotDir: cfg.SnapshotDir,
 	})
 	if err != nil {
 		return err

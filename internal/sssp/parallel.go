@@ -1,6 +1,8 @@
 package sssp
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -13,42 +15,28 @@ import (
 // O(n·(n+m)·log n) preprocessing sweep every scheme build starts with.
 // workers ≤ 0 selects GOMAXPROCS.
 func AllPairsParallel(g *graph.Graph, workers int) []*Result {
-	n := g.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	all, _ := AllPairsParallelCtx(context.Background(), g, workers)
+	return all
+}
+
+// AllPairsParallelCtx is AllPairsParallel honoring cancellation: a
+// worker checks ctx before each row it computes, so a canceled sweep
+// stops once the rows in flight finish, and returns a wrapped
+// ctx.Err() only after every worker has returned.
+func AllPairsParallelCtx(ctx context.Context, g *graph.Graph, workers int) ([]*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sssp: all pairs: %w", err)
 	}
-	if workers > n {
-		workers = n
+	out := make([]*Result, g.N())
+	ParallelFor(len(out), workers, func(v int) {
+		if ctx.Err() == nil {
+			out[v] = From(g, graph.NodeID(v))
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sssp: all pairs: %w", err)
 	}
-	out := make([]*Result, n)
-	if workers <= 1 {
-		return AllPairs(g)
-	}
-	var next int64 // atomically claimed source index
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		v := int(next)
-		next++
-		return v
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				v := claim()
-				if v >= n {
-					return
-				}
-				out[v] = From(g, graph.NodeID(v))
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return out, nil
 }
 
 // ParallelFor runs fn(i) for i in [0, n) over a bounded worker pool.

@@ -1,9 +1,13 @@
 package sssp
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"compactroute/internal/gen"
 )
@@ -44,6 +48,61 @@ func TestAllPairsParallelDefaultWorkers(t *testing.T) {
 		if par[u] == nil {
 			t.Fatalf("source %d not computed", u)
 		}
+	}
+}
+
+// cancelOnErr cancels its context on the k-th Err call, so the
+// cancellation lands mid-sweep at the same point on every run.
+type cancelOnErr struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int32
+	k      int32
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.calls.Add(1) == c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestAllPairsParallelCancellation: a sweep canceled mid-way returns a
+// wrapped context.Canceled and no rows, at one worker and at several,
+// and leaves no worker running.
+func TestAllPairsParallelCancellation(t *testing.T) {
+	g := gen.Gnp(9, 120, 0.06, gen.Uniform(1, 7))
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &cancelOnErr{Context: base, cancel: cancel, k: 5}
+		rows, err := AllPairsParallelCtx(ctx, g, workers)
+		cancel()
+		if !errors.Is(err, context.Canceled) || rows != nil {
+			t.Fatalf("workers=%d: got %d rows, err %v; want none and a wrapped context.Canceled", workers, len(rows), err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutine leak after cancellation: %d before, %d after", before, got)
+	}
+}
+
+// TestAllPairsParallelPreCanceled: an already-canceled context runs no
+// Dijkstra at all.
+func TestAllPairsParallelPreCanceled(t *testing.T) {
+	g := gen.Ring(2, 40, gen.Unit())
+	base, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := &cancelOnErr{Context: base, cancel: cancel}
+	if _, err := AllPairsParallelCtx(ctx, g, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want wrapped context.Canceled", err)
+	}
+	if n := ctx.calls.Load(); n != 1 {
+		t.Fatalf("ctx checked %d times, want once before any row", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sssp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -201,11 +200,32 @@ func disconnected() *graph.Graph {
 	return g
 }
 
+// sameResult compares two per-source results field by field.
+func sameResult(a, b *Result) error {
+	if a.Source != b.Source {
+		return fmt.Errorf("source %d vs %d", a.Source, b.Source)
+	}
+	if len(a.Dist) != len(b.Dist) || len(a.Order) != len(b.Order) {
+		return fmt.Errorf("shape mismatch")
+	}
+	for v := range a.Dist {
+		if a.Dist[v] != b.Dist[v] || a.Parent[v] != b.Parent[v] || a.ParentPort[v] != b.ParentPort[v] {
+			return fmt.Errorf("row %d differs at node %d", a.Source, v)
+		}
+	}
+	for i := range a.Order {
+		if a.Order[i] != b.Order[i] {
+			return fmt.Errorf("row %d order differs at %d", a.Source, i)
+		}
+	}
+	return nil
+}
+
 // TestFromMatchesBinaryHeapReference holds From to refFrom on every
 // source of graphs chosen for ties (unit and power-of-two weights, a
 // grid, a ring), hubs (preferential attachment), parallel edges of
 // equal and unequal weight, and unreached nodes, directly and through
-// AllPairsParallel and Streamed at 1 and 4 workers.
+// AllPairsParallel at 1 and 4 workers.
 func TestFromMatchesBinaryHeapReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -222,7 +242,6 @@ func TestFromMatchesBinaryHeapReference(t *testing.T) {
 		{"parallel-unequal", withParallel(gen.Gnp(9, 80, 0.06, gen.PowerOfTwo(2)), 9, false)},
 		{"disconnected", disconnected()},
 	}
-	ctx := context.Background()
 	for _, c := range cases {
 		g := c.g
 		want := make([]*Result, g.N())
@@ -247,11 +266,6 @@ func TestFromMatchesBinaryHeapReference(t *testing.T) {
 		check("From", direct)
 		for _, workers := range []int{1, 4} {
 			check(fmt.Sprintf("AllPairsParallel/%d", workers), AllPairsParallel(g, workers))
-			streamed, err := Materialize(ctx, Streamed(g, workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("Streamed/%d", workers), streamed)
 		}
 	}
 }

@@ -111,20 +111,11 @@ func (r *Result) Reached(v graph.NodeID) bool { return !math.IsInf(r.Dist[v], 1)
 // PathTo returns the shortest path source→v as a node sequence, or nil
 // if v is unreachable.
 func (r *Result) PathTo(v graph.NodeID) []graph.NodeID {
-	return PathFromParents(r.Parent, r.Source, v)
-}
-
-// PathFromParents reconstructs the shortest path source→to from a
-// shortest-path tree's parent links alone, or nil if the chain from
-// `to` does not reach the source (unreached). It is PathTo for
-// consumers that retained only the Parent slice of a streamed row
-// (see Source).
-func PathFromParents(parent []graph.NodeID, source, to graph.NodeID) []graph.NodeID {
 	var rev []graph.NodeID
-	for u := to; u != -1; u = parent[u] {
+	for u := v; u != -1; u = r.Parent[u] {
 		rev = append(rev, u)
 	}
-	if len(rev) == 0 || rev[len(rev)-1] != source {
+	if len(rev) == 0 || rev[len(rev)-1] != r.Source {
 		return nil
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {

@@ -6,7 +6,6 @@ import (
 
 	"compactroute/internal/schemes"
 	"compactroute/internal/sim"
-	"compactroute/internal/sssp"
 )
 
 // Config selects and parameterizes a scheme kind for Build. Kinds
@@ -52,46 +51,32 @@ func LookupKind(kind string) (KindInfo, bool) {
 // Build constructs a scheme of cfg.Kind over the network — the single
 // construction path of the v2 API, replacing the per-scheme
 // constructors of v1 (see DESIGN.md §1 for the migration table). An
-// unregistered kind errors with a wrapped ErrUnknownKind.
-//
-// Build materializes the network's full metric first (computing it on
-// a lazy or loaded network); for large networks prefer BuildStream,
-// which feeds builders a bounded-memory result stream instead.
+// unregistered kind errors with a wrapped ErrUnknownKind. It is
+// BuildStream without cancellation.
 func Build(net *Network, cfg Config) (*Scheme, error) {
-	r, err := schemes.Build(net.g, net.buildMetric(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newScheme(net, cfg.Kind, r, r), nil
+	return BuildStream(context.Background(), net, cfg)
 }
 
-// BuildStream constructs a scheme of cfg.Kind through the streaming
-// build pipeline (DESIGN.md §6): single-source shortest-path rows fan
-// across GOMAXPROCS workers and stream — in deterministic source
-// order — into the kind's builder, which consumes them in O(n)
-// working memory unless it explicitly materializes. The result is
-// identical to Build's over the same network.
+// BuildStream constructs a scheme of cfg.Kind over the network's
+// all-pairs shortest paths (DESIGN.md §6). A network without its
+// metric (WrapGraphLazy, Load) computes it first, across all cores,
+// and keeps it: the built scheme's results carry true stretch, and the
+// rows are shared with every later build on the network. Every kind
+// reads the same rows; the paper kind's decomposition holds them for
+// the scheme's life.
 //
-// On a network that already has its metric (BuildNetwork, WrapGraph)
-// the stream replays the cached results without recomputation. On a
-// lazy network (WrapGraphLazy, Load) rows are computed on the fly and
-// dropped after use, so for the streaming kinds (fulltable, apcover,
-// landmark, tz) the Θ(n²) metric is never resident; kind "paper" —
-// and any externally registered kind without a stream hook —
-// explicitly materializes the rows for the build's duration instead
-// (DESIGN.md §6). Either way the network afterwards still has no
-// metric, and stretch stays unknown until EnsureMetric.
-//
-// Cancelling ctx aborts construction promptly with a wrapped
-// context.Canceled (or DeadlineExceeded) and releases all workers.
+// Cancelling ctx before or during the metric's sweep aborts the build
+// with a wrapped context.Canceled (or DeadlineExceeded), once every
+// sweep worker has returned; a canceled sweep publishes no metric.
 func BuildStream(ctx context.Context, net *Network, cfg Config) (*Scheme, error) {
-	var src sssp.Source
-	if all := net.metric(); all != nil {
-		src = sssp.Materialized(net.g, all)
-	} else {
-		src = sssp.Streamed(net.g, 0)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("compactroute: building kind %q: %w", cfg.Kind, err)
 	}
-	r, err := schemes.BuildStream(ctx, net.g, src, cfg)
+	all, err := net.metricCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("compactroute: building kind %q: %w", cfg.Kind, err)
+	}
+	r, err := schemes.Build(net.g, all, cfg)
 	if err != nil {
 		return nil, err
 	}
