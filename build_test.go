@@ -44,15 +44,17 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
+// builtinKinds are the five built-in kinds. Other root tests register
+// throwaway kinds (e.g. one that never delivers) in the shared registry.
+var builtinKinds = []string{KindPaper, KindFullTable, KindAPCover, KindLandmarkChain, KindTZ}
+
 // TestBuildStreamLazyNetwork: a build over a metric-less network
 // computes the metric, leaves the network holding it, and routes
 // exactly as a build over a network that had it all along, with true
 // stretch on every answer.
 func TestBuildStreamLazyNetwork(t *testing.T) {
 	warm := RandomNetwork(5, 60, 8.0/60, UniformWeights(1, 8))
-	// The five built-ins only: other root tests register throwaway
-	// kinds (e.g. one that never delivers) in the shared registry.
-	for _, kind := range []string{KindPaper, KindFullTable, KindAPCover, KindLandmarkChain, KindTZ} {
+	for _, kind := range builtinKinds {
 		lazy := WrapGraphLazy(warm.Graph())
 		if lazy.HasMetric() {
 			t.Fatal("WrapGraphLazy must not compute the metric")
@@ -90,26 +92,59 @@ func TestBuildStreamLazyNetwork(t *testing.T) {
 	}
 }
 
-// TestBuildStreamCanceled: a canceled build returns the wrapped
-// context error for every kind. A pre-canceled context fails on a lazy
-// network and on a warm one (whose cached metric once let the build
-// skip the ctx check); a cancel that lands mid-sweep on a lazy network
-// stops the sweep, publishes no metric, and leaves no worker running.
+// TestBuildStreamCanceled: a canceled build returns the context's own
+// error, wrapped: an expired deadline surfaces as DeadlineExceeded, not
+// Canceled, on a lazy network and on a warm one, and the lazy network
+// is left without a metric.
 func TestBuildStreamCanceled(t *testing.T) {
-	warm := RandomNetwork(5, 96, 8.0/96, UniformWeights(1, 8))
-	canceled, cancel := context.WithCancel(context.Background())
+	warm := RandomNetwork(5, 40, 0.2, UniformWeights(1, 8))
+	lazy := WrapGraphLazy(warm.Graph())
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		kind string
+	}{
+		{"lazy", lazy, KindTZ},
+		{"warm", warm, KindPaper},
+	} {
+		if _, err := BuildStream(ctx, tc.net, Config{Kind: tc.kind, K: 2}); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: got %v, want wrapped context.DeadlineExceeded", tc.name, err)
+		}
+	}
+	if lazy.HasMetric() {
+		t.Fatal("an expired build published a metric")
+	}
+}
+
+// TestBuildStreamPreCanceled: an already-canceled context fails fast
+// for every kind, on a lazy network and on a warm one (whose cached
+// metric once let the build skip the ctx check).
+func TestBuildStreamPreCanceled(t *testing.T) {
+	warm := RandomNetwork(5, 24, 8.0/24, UniformWeights(1, 8))
+	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := runtime.NumGoroutine()
-	for _, kind := range []string{KindPaper, KindFullTable, KindAPCover, KindLandmarkChain, KindTZ} {
+	for _, kind := range builtinKinds {
 		cfg := Config{Kind: kind, K: 2, Seed: 7}
 		for _, net := range []*Network{warm, WrapGraphLazy(warm.Graph())} {
-			if _, err := BuildStream(canceled, net, cfg); !errors.Is(err, context.Canceled) {
+			if _, err := BuildStream(ctx, net, cfg); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s pre-canceled (metric %v): got %v, want wrapped context.Canceled", kind, net.HasMetric(), err)
 			}
 		}
+	}
+}
+
+// TestBuildStreamCancellation: a cancel that lands mid-sweep on a lazy
+// network surfaces as a wrapped context.Canceled from every kind,
+// publishes no metric, and leaves no sweep worker running.
+func TestBuildStreamCancellation(t *testing.T) {
+	warm := RandomNetwork(5, 96, 8.0/96, UniformWeights(1, 8))
+	before := runtime.NumGoroutine()
+	for _, kind := range builtinKinds {
 		lazy := WrapGraphLazy(warm.Graph())
 		ctx, cancel := cancelAt(5)
-		_, err := BuildStream(ctx, lazy, cfg)
+		_, err := BuildStream(ctx, lazy, Config{Kind: kind, K: 2, Seed: 7})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s canceled mid-sweep: got %v, want wrapped context.Canceled", kind, err)

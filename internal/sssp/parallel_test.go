@@ -3,8 +3,10 @@ package sssp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,6 +37,32 @@ func TestAllPairsParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAllPairsParallelCtxMatchesAllPairs: under a live context the
+// sweep returns exactly the AllPairs rows, field by field and indexed
+// by source, at every worker count.
+func TestAllPairsParallelCtxMatchesAllPairs(t *testing.T) {
+	g := gen.Gnp(7, 80, 8.0/80, gen.Uniform(1, 8))
+	want := AllPairs(g)
+	for _, workers := range []int{1, 2, 3, 4, 8, 64} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got, err := AllPairsParallelCtx(context.Background(), g, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("got %d rows, want %d", len(got), len(want))
+			}
+			for u, w := range want {
+				r := got[u]
+				if r.Source != w.Source || !slices.Equal(r.Dist, w.Dist) || !slices.Equal(r.Parent, w.Parent) ||
+					!slices.Equal(r.ParentPort, w.ParentPort) || !slices.Equal(r.Order, w.Order) {
+					t.Fatalf("row %d differs from AllPairs", u)
+				}
+			}
+		})
 	}
 }
 
